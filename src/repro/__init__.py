@@ -8,15 +8,18 @@ Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.graphs` / :mod:`repro.geometry` — pure algorithmic substrate;
 * :mod:`repro.engine` — array graph backends, vectorised kernels and the
-  batched mechanism pipeline (the substrate half sits beside
-  :mod:`repro.graphs`; :mod:`repro.engine.batch` sits above
+  memoised ``xi(R)`` cache behind
+  :meth:`~repro.api.MulticastSession.run_batch` (the substrate half sits
+  beside :mod:`repro.graphs`; :mod:`repro.engine.batch` sits above
   :mod:`repro.core`);
 * :mod:`repro.wireless` — the paper's wireless power model + exact oracles;
 * :mod:`repro.mechanism` — mechanism-design vocabulary and axiom auditors;
 * :mod:`repro.core` — the paper's mechanisms;
 * :mod:`repro.api` — the declarative scenario/mechanism spec API, the
-  string-keyed mechanism registry, and the caching
-  :class:`~repro.api.MulticastSession` facade (the service entry path);
+  string-keyed mechanism registry, the caching
+  :class:`~repro.api.MulticastSession` facade (the service entry path),
+  and :class:`~repro.api.store.SessionStore`, the one LRU every session
+  cache in the codebase is;
 * :mod:`repro.dynamic` — epoch-based agent churn over any scenario:
   :class:`~repro.dynamic.DynamicScenarioSpec` (deterministic
   join/leave/move histories) replayed incrementally by

@@ -155,7 +155,6 @@ def exp_t1_universal_tree(n_instances: int = 5, n: int = 7, seed: int = 0,
     executor serves — pass ``layout="cluster"``/``"grid"``/... to audit
     the other families.
     """
-    from repro.engine.batch import sweep_instances
     from repro.runner import SweepSpec
 
     rng = as_rng(seed)
@@ -193,7 +192,8 @@ def exp_t1_universal_tree(n_instances: int = 5, n: int = 7, seed: int = 0,
             "mc_receivers": len(res_m.receivers),
         }
 
-    rows = sweep_instances(grid.scenarios(), run_one)
+    rows = [{"instance": idx, **run_one(scenario)}
+            for idx, scenario in enumerate(grid.scenarios())]
     return {"rows": rows}
 
 

@@ -12,6 +12,10 @@ This is the stable entry path a service speaks:
   caching the expensive shared state (network, universal trees, metric
   closure, memoised cost-share methods) across ``run``/``run_batch``
   requests (:mod:`repro.api.session`);
+* :class:`~repro.api.store.SessionStore` — the bounded, single-flight
+  LRU of sessions keyed by scenario wire form, over a caller-supplied
+  builder; the service and the multi-group trace replay both keep their
+  sessions in one (:mod:`repro.api.store`);
 * result wire format — :func:`result_to_dict` & friends
   (:mod:`repro.api.serialize`).
 

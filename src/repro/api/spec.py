@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -57,6 +58,8 @@ def _as_float_rows(rows: Sequence[Sequence[float]], label: str) -> tuple:
         raise ValueError(f"{label} must be a sequence of numeric rows: {exc}") from exc
     if not frozen:
         raise ValueError(f"{label} must be non-empty")
+    if not all(math.isfinite(x) for row in frozen for x in row):
+        raise ValueError(f"{label} entries must be finite")
     widths = {len(row) for row in frozen}
     if len(widths) != 1:
         raise ValueError(f"{label} rows must all have the same length, got lengths {sorted(widths)}")
@@ -109,8 +112,9 @@ class ScenarioSpec:
         object.__setattr__(self, "source", int(self.source))
         if self.alpha is not None:
             object.__setattr__(self, "alpha", float(self.alpha))
-            if self.alpha < 1:
-                raise ValueError(f"alpha must be >= 1 (paper's model), got {self.alpha}")
+            if not 1 <= self.alpha < math.inf:
+                raise ValueError(
+                    f"alpha must be finite and >= 1 (paper's model), got {self.alpha}")
 
         if self.kind == "points":
             self._reject_foreign_fields(("matrix", "n", "side", "seed", "layout"))
@@ -149,6 +153,8 @@ class ScenarioSpec:
                     f"unknown layout family {self.layout!r} (want one of {LAYOUT_FAMILIES})")
             if self.n < 1 or self.dim < 1:
                 raise ValueError(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
+            if not math.isfinite(self.side):
+                raise ValueError(f"side must be finite, got {self.side}")
 
         if not 0 <= self.source < self.n_stations:
             raise ValueError(

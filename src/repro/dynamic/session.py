@@ -173,6 +173,11 @@ class DynamicSession:
     def materialized(self, epoch: int) -> ScenarioSpec:
         return self.spec.materialize(epoch)
 
+    @property
+    def live_session(self) -> MulticastSession | None:
+        """The session serving the latest epoch priced (None before any)."""
+        return self._session
+
     # -- the incremental core ------------------------------------------------
     def session(self, epoch: int) -> MulticastSession:
         """The :class:`MulticastSession` serving ``epoch``.

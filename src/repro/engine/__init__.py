@@ -13,8 +13,10 @@ The engine has two halves:
   Jain-Vazirani moat shares.
 
 * **pipeline** (:mod:`repro.engine.batch`, imported lazily because it
-  sits *above* :mod:`repro.core`): memoised batch evaluation of one
-  mechanism over many utility profiles / instances.
+  sits *above* :mod:`repro.core`): the memoised ``xi(R)`` cache and the
+  lockstep Moulin-Shenker driver that
+  :meth:`repro.api.MulticastSession.run_batch` prices profile batches
+  with.
 
 Algorithm entry points in :mod:`repro.graphs` dispatch to the array
 kernels automatically when handed an array graph; ``CostGraph.as_dense()``
@@ -36,10 +38,8 @@ __all__ = [
     "CSRGraph",
     "DenseGraph",
     "GraphBackend",
-    "JVBatch",
     "MethodCache",
     "TreeIndex",
-    "UniversalTreeBatch",
     "as_array_backend",
     "batched_dijkstra",
     "efficient_set",
@@ -47,13 +47,10 @@ __all__ = [
     "moat_mst_weight",
     "moat_shares",
     "out_neighbors",
-    "run_profiles",
-    "sweep_instances",
     "water_filling_shares",
 ]
 
-_BATCH_NAMES = {"JVBatch", "MethodCache", "UniversalTreeBatch", "run_profiles",
-                "sweep_instances"}
+_BATCH_NAMES = {"MethodCache"}
 
 
 def __getattr__(name: str):

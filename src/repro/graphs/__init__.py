@@ -28,7 +28,7 @@ node_weighted
     excluding the source), the metric used by node-weighted Steiner.
 mst
     Kruskal (with a merge-event trace used by the Jain-Vazirani cost
-    shares), Prim and Boruvka minimum spanning trees.
+    shares) and Prim minimum spanning trees.
 arborescence
     Chu-Liu/Edmonds minimum spanning arborescence.
 steiner

@@ -1,4 +1,4 @@
-"""Minimum spanning trees: Kruskal (with merge trace), Prim, Boruvka.
+"""Minimum spanning trees: Kruskal (with merge trace) and Prim.
 
 The Kruskal *merge trace* — the sequence of (weight, components-merged)
 events — is the backbone of the Jain-Vazirani cross-monotonic cost shares
@@ -112,36 +112,6 @@ def prim_mst(graph: Graph, root: Node | None = None) -> list[tuple[Node, Node, f
                 continue
             if heap.push_or_decrease(v, wv):
                 attach[v] = u
-    return tree
-
-
-def boruvka_mst(graph: Graph) -> list[tuple[Node, Node, float]]:
-    """Boruvka's algorithm (assumes distinct-enough weights; ties broken by
-    node representation to stay safe on equal weights)."""
-    dsu = DisjointSet(graph.nodes())
-    tree: list[tuple[Node, Node, float]] = []
-    n = len(graph)
-    if n == 0:
-        return []
-    while dsu.n_components > 1:
-        cheapest: dict[Node, tuple[float, tuple, Node, Node]] = {}
-        for u, v, w in graph.edges():
-            ru, rv = dsu.find(u), dsu.find(v)
-            if ru == rv:
-                continue
-            key = (w, (_sort_key(u), _sort_key(v)))
-            for r in (ru, rv):
-                if r not in cheapest or (key < (cheapest[r][0], cheapest[r][1])):
-                    cheapest[r] = (w, key[1], u, v)
-        if not cheapest:
-            break  # disconnected graph: forest is complete
-        merged_any = False
-        for w, _, u, v in cheapest.values():
-            if dsu.union(u, v):
-                tree.append((u, v, w))
-                merged_any = True
-        if not merged_any:
-            break
     return tree
 
 

@@ -9,6 +9,7 @@ built (plus an optional power assignment and free-form diagnostics).
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -72,9 +73,11 @@ class CostSharingMechanism(abc.ABC):
         stray = sorted((a for a in profile if a not in known), key=repr)
         if stray:
             raise ValueError(f"profile reports unknown agents: {stray}")
-        bad = {a: v for a, v in profile.items() if v < 0}
+        # ``0 <= v < inf`` is false for NaN, so one test rejects negative
+        # and non-finite bids alike.
+        bad = {a: v for a, v in profile.items() if not 0 <= v < math.inf}
         if bad:
-            raise ValueError(f"utilities must be non-negative: {bad}")
+            raise ValueError(f"utilities must be finite and non-negative: {bad}")
         return {a: float(profile[a]) for a in self.agents}
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import signal
 import time
 from collections.abc import Callable, Sequence
 
@@ -208,6 +209,18 @@ def _check_mechanisms(spec: SweepSpec) -> None:
             f"unknown mechanisms {unknown}; available: {sorted(known)}")
 
 
+def _default_sigterm() -> None:
+    """Pool-worker initializer: let SIGTERM kill the worker outright.
+
+    A forked worker inherits any Python-level SIGTERM handler of its
+    parent.  Python runs such a handler only between bytecodes, so a
+    SIGTERM landing as an idle worker enters its blocking wait on the
+    task-queue lock is lost — and ``Pool.terminate`` then joins that
+    worker forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -292,7 +305,8 @@ def run_sweep(
             for group in groups:
                 collect(run_group(group))
         else:
-            with multiprocessing.Pool(n_workers) as pool:
+            with multiprocessing.Pool(n_workers,
+                                      initializer=_default_sigterm) as pool:
                 for rows in pool.imap_unordered(run_group, groups):
                     collect(rows)
     finally:

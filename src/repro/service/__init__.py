@@ -4,11 +4,13 @@ The fourth architectural layer, above :mod:`repro.api` /
 :mod:`repro.runner` / :mod:`repro.dynamic`: a stdlib-only asyncio
 subsystem that serves pricing requests over long-lived warm state.
 
-* :class:`SessionStore` — a bounded LRU of
-  :class:`~repro.api.MulticastSession`s (and
-  :class:`~repro.dynamic.DynamicSession`s for churn scenarios) keyed by
-  the scenario's wire form, with single-flight coalescing of concurrent
-  cold builds (:mod:`repro.service.state`);
+* :class:`SessionStore` — the one bounded LRU of every session a
+  server holds (static :class:`~repro.api.MulticastSession`, churn
+  :class:`~repro.dynamic.DynamicSession`, trace
+  :class:`~repro.traces.MultiGroupSession`, and the per-epoch
+  substrates the latter two draw) keyed by the scenario's wire form,
+  with single-flight coalescing of concurrent cold builds
+  (:mod:`repro.api.store`, wired in :mod:`repro.service.state`);
 * :class:`MicroBatcher` — collects in-flight requests over a short
   window and executes them per-scenario on shared caches
   (:mod:`repro.service.batching`);

@@ -345,9 +345,10 @@ class CostSharingService:
                            snapshot.get(name, {}).get("series", [])))
 
         # The multi-group substrate-sharing counters ride in the store
-        # block (they are session-store state, published by the sessions
-        # the store holds) so the fleet router's legacy-key aggregation
-        # sums them instead of losing them in the merge.
+        # block (they count the outcomes of the multi-group sessions'
+        # substrate lookups on this store) so the fleet router's
+        # legacy-key aggregation sums them instead of losing them in the
+        # merge.
         store = self.store.stats()
         store["substrate_sessions_built"] = counter_total(
             "repro_trace_substrate_built_total")

@@ -1,293 +1,70 @@
-"""Bounded LRU session store with single-flight request coalescing.
+"""The service's session store: one LRU for every scenario artifact.
 
-The serving layer's warm state is the session: a
-:class:`~repro.api.session.MulticastSession` (or a
-:class:`~repro.dynamic.session.DynamicSession` for churn scenarios) owns
-everything expensive a scenario ever builds — network, universal trees,
-metric closure, memoised ``xi`` caches.  :class:`SessionStore` keeps a
-bounded, least-recently-used set of them keyed by the scenario's *wire
-form* (``spec.to_json()``), so identical requests from any connection
-land on the same warm state.
-
-Two properties matter under concurrency:
-
-* **single-flight coalescing** — when several requests race on the same
-  *cold* scenario, exactly one thread builds the session; the others
-  block on the in-flight build's future and share its result (or its
-  exception — after which the key is clean and the next request
-  retries).  Cold builds are the expensive path; building the same
-  network/trees/closure N times for N concurrent requests is the failure
-  mode this prevents.
-* **eviction is safe mid-flight** — evicting a key only drops the
-  store's *reference*.  A session handed out earlier stays fully usable
-  (it is a self-contained cache of pure functions); the next request for
-  that scenario simply rebuilds cold.
-
-Counters live in a :class:`~repro.observability.metrics.MetricsRegistry`
-(each store defaults to a private one, so per-store stats stay isolated;
-the service injects its own so ``/metrics`` sees them).  Every lookup
-outcome — hit, miss, coalesced — is recorded *at claim time* in one
-atomic compound update under the registry lock, which is what makes
-``hits + misses + coalesced == lookups`` hold in every concurrent
-snapshot, not just quiescent ones.
-
-``capacity=0`` disables retention entirely (every request builds cold,
-coalescing still applies while builds are in flight) — the configuration
-the naive baseline in ``benchmarks/bench_service.py`` serves from.
+The serving layer's warm state is the session.
+:class:`~repro.api.store.SessionStore` (single-flight builds, bounded
+LRU, registry counters) holds them; this module supplies the builder
+that picks the session type a scenario warrants, and wires the epoch
+replays to the *same* store: the per-epoch
+:class:`~repro.api.session.MulticastSession`\\ s a
+:class:`~repro.dynamic.session.DynamicSession` or
+:class:`~repro.traces.session.MultiGroupSession` draws are store
+lookups too.  Every session a server process holds therefore lives in
+one LRU, under the one capacity the adaptive controller resizes, and a
+static request for a scenario a trace already materialized is a hit.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from concurrent.futures import Future
-
+from repro.api import store as api_store
 from repro.api.session import MulticastSession
 from repro.api.spec import ScenarioSpec
+from repro.api.store import StoreEntry, scenario_key
 from repro.dynamic.session import DynamicSession
 from repro.dynamic.spec import DynamicScenarioSpec
-from repro.observability import NULL_SPAN_RECORDER, MetricsRegistry, scenario_hash
+from repro.observability import MetricsRegistry
 from repro.traces.session import MultiGroupSession
 from repro.traces.spec import MultiGroupScenarioSpec
 
-
-def scenario_key(spec: ScenarioSpec) -> str:
-    """The store key of a scenario: its canonical wire form.  Dynamic
-    scenarios embed their churn model (multi-group ones their group and
-    move histories), so specs over the same layout never collide."""
-    return spec.to_json()
+__all__ = ["SessionStore", "StoreEntry", "build_session", "scenario_key"]
 
 
-def build_session(spec: ScenarioSpec, *, registry: MetricsRegistry | None = None):
+def build_session(spec: ScenarioSpec, *, registry: MetricsRegistry | None = None,
+                  store: api_store.SessionStore | None = None):
     """The session type a scenario warrants: multi-group scenarios get the
     substrate-sharing :class:`MultiGroupSession`, churn scenarios the
     incremental :class:`DynamicSession`, static ones the caching
     :class:`MulticastSession`.  With a ``registry`` the session publishes
-    its artifact-build timings and cache telemetry into it."""
+    its artifact-build timings and cache telemetry into it; with a
+    ``store`` the epoch replays draw their per-epoch sessions from it."""
     if isinstance(spec, MultiGroupScenarioSpec):
-        return MultiGroupSession(spec, registry=registry)
+        return MultiGroupSession(
+            spec, registry=registry,
+            session_factory=store.lookup if store is not None else None)
     if isinstance(spec, DynamicScenarioSpec):
-        return DynamicSession(spec, registry=registry)
+        return DynamicSession(
+            spec, registry=registry,
+            session_factory=((lambda scenario: store.get(scenario).session)
+                             if store is not None else None))
     return MulticastSession(spec, registry=registry)
 
 
-class StoreEntry:
-    """One stored session plus its execution lock.
+class SessionStore(api_store.SessionStore):
+    """The service's :class:`~repro.api.store.SessionStore`, building
+    with :func:`build_session`.
 
-    :class:`MulticastSession` is internally thread-safe, but
-    :class:`DynamicSession` (and the per-group sessions inside a
-    :class:`MultiGroupSession`) mutate epoch state across calls —
-    ``exec_lock`` serializes executions on one entry where the caller
-    needs that (the micro-batcher takes it for dynamic sessions only).
+    With an injected ``registry`` (the service's) the sessions publish
+    telemetry into it and draw their epoch substrates from this store; a
+    bare store builds with the one-argument ``build_session(spec)``, so a
+    one-argument stand-in for it (a test fake) keeps working.
     """
 
-    __slots__ = ("session", "exec_lock")
-
-    def __init__(self, session) -> None:
-        self.session = session
-        self.exec_lock = threading.Lock()
-
-    @property
-    def is_dynamic(self) -> bool:
-        return isinstance(self.session, (DynamicSession, MultiGroupSession))
-
-
-class SessionStore:
-    """Thread-safe bounded LRU of scenario sessions with single-flight
-    builds and atomic hit/miss/eviction/coalescing counters."""
-
     def __init__(self, capacity: int = 64, *,
-                 registry: MetricsRegistry | None = None,
-                 spans=None) -> None:
-        capacity = int(capacity)
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        # Request-span recorder: cold builds are the expensive store path,
-        # so the owner of a build records a ``session_build`` span (child
-        # of the requesting trace when a context is threaded through).
-        self.spans = spans if spans is not None else NULL_SPAN_RECORDER
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
-        self._building: dict[str, Future] = {}
-        # Sessions only publish telemetry when the registry was injected
-        # (monkeypatched builders in tests stay single-argument-callable,
-        # and a bare SessionStore() never touches the process default).
+                 registry: MetricsRegistry | None = None, spans=None) -> None:
+        super().__init__(capacity, builder=self._build, registry=registry,
+                         spans=spans)
         self._session_registry = registry
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._c_lookups = self.registry.counter(
-            "repro_store_lookups_total",
-            "Session-store lookups (hits + misses + coalesced)")
-        self._c_hits = self.registry.counter(
-            "repro_store_hits_total", "Lookups answered from the warm LRU")
-        self._c_misses = self.registry.counter(
-            "repro_store_misses_total", "Lookups that claimed a cold build")
-        self._c_evictions = self.registry.counter(
-            "repro_store_evictions_total", "Sessions dropped by LRU pressure")
-        self._c_coalesced = self.registry.counter(
-            "repro_store_coalesced_total",
-            "Lookups that joined an in-flight build (single-flight)")
-        self._g_size = self.registry.gauge(
-            "repro_store_size", "Sessions currently retained")
-        self._g_capacity = self.registry.gauge(
-            "repro_store_capacity", "Session-store LRU capacity")
-        self._g_capacity.set(capacity)
 
-    def _record(self, outcome, extra=None) -> None:
-        """One atomic compound counter update: lookups plus its outcome
-        (and optionally more) move together or not at all."""
-        with self.registry.lock:
-            self._c_lookups.inc()
-            outcome.inc()
-            if extra is not None:
-                extra()
-
-    def get(self, spec: ScenarioSpec, *, key: str | None = None,
-            span_context=None) -> StoreEntry:
-        """The entry for ``spec`` — warm from the LRU, joined onto an
-        in-flight build, or built here (exactly one builder per key).
-        ``span_context`` parents the cold path's ``session_build`` span
-        (hits and coalesced joins record nothing: they are cheap)."""
-        if key is None:
-            key = scenario_key(spec)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._record(self._c_hits)
-                return entry
-            future = self._building.get(key)
-            if future is not None:
-                # Single-flight: join the in-flight build instead of
-                # duplicating it.
-                self._record(self._c_coalesced)
-                owner = False
-            else:
-                future = Future()
-                self._building[key] = future
-                owner = True
-                # The miss is counted when the build slot is *claimed*,
-                # not when the build finishes — so lookups always equals
-                # hits+misses+coalesced, even while builds are in flight.
-                self._record(self._c_misses)
-        if not owner:
-            return future.result()
-        build_span = self.spans.span(
-            "session_build", parent=span_context,
-            attributes={"scenario": scenario_hash(key)})
-        try:
-            if self._session_registry is None:
-                entry = StoreEntry(build_session(spec))
-            else:
-                entry = StoreEntry(
-                    build_session(spec, registry=self._session_registry))
-        except BaseException as exc:
-            build_span.set("error", f"{type(exc).__name__}: {exc}")
-            build_span.finish(status="error")
-            with self._lock:
-                self._building.pop(key, None)
-            future.set_exception(exc)
-            raise
-        build_span.finish()
-        with self._lock:
-            evicted = 0
-            if self.capacity > 0:
-                self._entries[key] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    evicted += 1
-            size = len(self._entries)
-            self._building.pop(key, None)
-            with self.registry.lock:
-                if evicted:
-                    self._c_evictions.inc(evicted)
-                self._g_size.set(size)
-        future.set_result(entry)
-        return entry
-
-    # -- counters (registry-backed, read as plain ints) ----------------------
-    @property
-    def lookups(self) -> int:
-        return int(self._c_lookups.value)
-
-    @property
-    def hits(self) -> int:
-        return int(self._c_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._c_misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._c_evictions.value)
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._c_coalesced.value)
-
-    # -- inspection / management --------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> list[str]:
-        """Stored keys, least-recently-used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        """Drop every stored session (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
-            with self.registry.lock:
-                self._g_size.set(0)
-
-    def resize(self, capacity: int) -> int:
-        """Change the LRU bound in place (the adaptive controller's
-        capacity knob), evicting LRU-first if shrinking below the current
-        population.  Returns the number of sessions evicted."""
-        capacity = int(capacity)
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        with self._lock:
-            self.capacity = capacity
-            evicted = 0
-            while len(self._entries) > capacity:
-                self._entries.popitem(last=False)
-                evicted += 1
-            size = len(self._entries)
-            with self.registry.lock:
-                self._g_capacity.set(capacity)
-                if evicted:
-                    self._c_evictions.inc(evicted)
-                self._g_size.set(size)
-        return evicted
-
-    def stats(self) -> dict:
-        """Counter snapshot — one atomic read under the registry lock, so
-        ``hits + misses + coalesced == lookups`` in every snapshot."""
-        with self._lock:
-            size = len(self._entries)
-            building = len(self._building)
-            with self.registry.lock:
-                return {
-                    "capacity": self.capacity,
-                    "size": size,
-                    "building": building,
-                    "lookups": int(self._c_lookups.value),
-                    "hits": int(self._c_hits.value),
-                    "misses": int(self._c_misses.value),
-                    "evictions": int(self._c_evictions.value),
-                    "coalesced": int(self._c_coalesced.value),
-                }
-
-    def __repr__(self) -> str:
-        s = self.stats()
-        return (f"SessionStore(size={s['size']}/{s['capacity']}, "
-                f"hits={s['hits']}, misses={s['misses']}, "
-                f"evictions={s['evictions']}, coalesced={s['coalesced']})")
+    def _build(self, spec: ScenarioSpec):
+        if self._session_registry is None:
+            return build_session(spec)
+        return build_session(spec, registry=self._session_registry, store=self)

@@ -19,7 +19,6 @@ from repro.traces.format import (
 from repro.traces.generate import generate_trace
 from repro.traces.session import (
     MultiGroupSession,
-    SubstrateCache,
     check_trace_replay,
     group_profile_spec,
     replay_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MultiGroupScenarioSpec",
     "MultiGroupSession",
-    "SubstrateCache",
     "Trace",
     "TraceError",
     "TraceEvent",

@@ -4,13 +4,14 @@ A :class:`MultiGroupSession` prices every group of a
 :class:`~repro.traces.spec.MultiGroupScenarioSpec` through per-group
 :class:`~repro.dynamic.session.DynamicSession` replays — but all groups
 draw their :class:`~repro.api.session.MulticastSession` from one
-:class:`SubstrateCache`, keyed by the materialized epoch scenario.
+:class:`~repro.api.store.SessionStore`, keyed by the materialized epoch
+scenario — a private one offline, the service's own store when served.
 Groups on one substrate share the same geometry at every epoch (moves
 are substrate-wide), so the network, the universal trees, the metric
 closure and the memoised ``xi`` entries are built **once per distinct
-substrate**, not once per group; the cache's
-``substrate_sessions_built`` / ``substrate_sessions_shared`` counters
-(mirrored to ``repro_trace_substrate_*_total``) make that sharing
+substrate**, not once per group; the ``substrate_sessions_built`` /
+``substrate_sessions_shared`` counters (the store's lookup outcomes,
+mirrored to ``repro_trace_substrate_*_total``) make that sharing
 observable and assertable.
 
 Row content is bit-identical to fully independent cold per-group
@@ -29,11 +30,12 @@ the shared and the cold replay derive the identical per-group spec.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from collections.abc import Mapping
+from functools import partial
 
 from repro.api.session import MulticastSession
 from repro.api.spec import MechanismSpec, ScenarioSpec, seed_from_text
+from repro.api.store import SessionStore
 from repro.dynamic.session import DynamicSession, epoch_payload
 from repro.traces.spec import MultiGroupScenarioSpec
 
@@ -57,74 +59,20 @@ def group_profile_spec(profile_spec, group: str):
         seed=seed_from_text(f"trace-group|{group}|seed:{profile_spec.seed}"))
 
 
-class SubstrateCache:
-    """A bounded, thread-safe LRU of :class:`MulticastSession` keyed by
-    the materialized scenario's wire form.
-
-    Sessions are pure functions of their scenario, so handing the same
-    session to every group on an unchanged substrate is reuse, not
-    approximation.  The bound keeps a long handover trace (every move
-    epoch is a new substrate) from pinning dead geometries.
-    """
-
-    def __init__(self, *, capacity: int = SUBSTRATE_CACHE_LIMIT,
-                 registry=None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._sessions: OrderedDict[str, MulticastSession] = OrderedDict()
-        self.counters = {"substrate_sessions_built": 0,
-                         "substrate_sessions_shared": 0}
-        if registry is not None:
-            self._built = registry.counter(
-                "repro_trace_substrate_built_total",
-                "Substrate MulticastSessions built (one per distinct "
-                "materialized geometry)")
-            self._shared = registry.counter(
-                "repro_trace_substrate_shared_total",
-                "Substrate session cache hits (a group reusing another "
-                "group's artifacts)")
-        else:
-            self._built = self._shared = None
-
-    def session(self, scenario: ScenarioSpec) -> MulticastSession:
-        key = scenario.to_json()
-        with self._lock:
-            found = self._sessions.get(key)
-            if found is not None:
-                self._sessions.move_to_end(key)
-                self.counters["substrate_sessions_shared"] += 1
-                if self._shared is not None:
-                    self._shared.inc()
-                return found
-            session = MulticastSession(scenario, registry=self._registry)
-            self._sessions[key] = session
-            self.counters["substrate_sessions_built"] += 1
-            if self._built is not None:
-                self._built.inc()
-            while len(self._sessions) > self.capacity:
-                self._sessions.popitem(last=False)
-            return session
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-
 class MultiGroupSession:
     """Concurrent per-group dynamic replay over one shared substrate.
 
     Accepts a :class:`MultiGroupScenarioSpec`, its wire mapping, or a
     :class:`~repro.traces.format.Trace`.  Per-group
     :class:`DynamicSession`\\ s are created lazily (a sharded service
-    only pays for the groups it is routed), all wired to one
-    :class:`SubstrateCache` through the ``session_factory`` hook.
+    only pays for the groups it is routed), all drawing their epoch
+    sessions through one ``session_factory(scenario) -> (entry, built)``
+    — a :meth:`SessionStore.lookup <repro.api.store.SessionStore.lookup>`.
+    The default is a private store of :data:`SUBSTRATE_CACHE_LIMIT`
+    :class:`MulticastSession`\\ s; the service passes its own store's.
     """
 
-    def __init__(self, spec, *, registry=None,
-                 substrate_capacity: int = SUBSTRATE_CACHE_LIMIT) -> None:
+    def __init__(self, spec, *, registry=None, session_factory=None) -> None:
         to_spec = getattr(spec, "to_spec", None)
         if to_spec is not None:  # a Trace
             spec = to_spec()
@@ -136,16 +84,47 @@ class MultiGroupSession:
                 f"got {type(spec).__name__}")
         self.spec = spec
         self._registry = registry
-        self.substrate = SubstrateCache(capacity=substrate_capacity,
-                                        registry=registry)
+        # The bound keeps a long handover trace (every move epoch is a new
+        # substrate) from pinning dead geometries.
+        self._store = None
+        if session_factory is None:
+            self._store = SessionStore(
+                SUBSTRATE_CACHE_LIMIT,
+                builder=partial(MulticastSession, registry=registry))
+            session_factory = self._store.lookup
+        self._lookup = session_factory
         self._lock = threading.Lock()
         self._groups: dict[str, DynamicSession] = {}
+        self._counters = {"substrate_sessions_built": 0,
+                          "substrate_sessions_shared": 0}
         if registry is not None:
+            self._metrics = {
+                "substrate_sessions_built": registry.counter(
+                    "repro_trace_substrate_built_total",
+                    "Substrate MulticastSessions built (one per distinct "
+                    "materialized geometry)"),
+                "substrate_sessions_shared": registry.counter(
+                    "repro_trace_substrate_shared_total",
+                    "Substrate session cache hits (a group reusing another "
+                    "group's artifacts)"),
+            }
             self._epoch_metric = registry.counter(
                 "repro_trace_group_epochs_total",
                 "Epoch pricings served per trace group", labels=("group",))
         else:
-            self._epoch_metric = None
+            self._metrics = self._epoch_metric = None
+
+    def _substrate(self, scenario: ScenarioSpec) -> MulticastSession:
+        """One substrate lookup, counted by the store's outcome: a lookup
+        that ran the build is a build, a hit or coalesced join a share."""
+        entry, built = self._lookup(scenario)
+        key = ("substrate_sessions_built" if built
+               else "substrate_sessions_shared")
+        with self._lock:
+            self._counters[key] += 1
+        if self._metrics is not None:
+            self._metrics[key].inc()
+        return entry.session
 
     # -- views ---------------------------------------------------------------
     @property
@@ -167,7 +146,7 @@ class MultiGroupSession:
             found = self._groups.get(group)
             if found is None:
                 found = DynamicSession(spec, registry=self._registry,
-                                       session_factory=self.substrate.session)
+                                       session_factory=self._substrate)
                 self._groups[group] = found
             return found
 
@@ -225,9 +204,15 @@ class MultiGroupSession:
                 for group, by_epoch in rows.items()}
 
     def counters(self) -> dict:
-        """Substrate sharing totals plus each group's reuse counters."""
-        out = dict(self.substrate.counters)
-        out["substrate_sessions_live"] = len(self.substrate)
+        """Substrate sharing totals plus each group's reuse counters.
+        ``substrate_sessions_live`` is the private store's population; on a
+        shared store, the distinct substrates the groups currently hold."""
+        with self._lock:
+            out = dict(self._counters)
+        out["substrate_sessions_live"] = (
+            len(self._store) if self._store is not None else
+            len({id(group.live_session) for group in self._groups.values()
+                 if group.live_session is not None}))
         out["groups"] = {group: dict(session.counters)
                          for group, session in sorted(self._groups.items())}
         return out
@@ -235,7 +220,7 @@ class MultiGroupSession:
     def __repr__(self) -> str:
         return (f"MultiGroupSession(groups={len(self.group_ids)}, "
                 f"epochs={self.n_epochs}, "
-                f"substrates={len(self.substrate)})")
+                f"substrates={self.counters()['substrate_sessions_live']})")
 
 
 def replay_trace(spec, mechanism: str | MechanismSpec, profiles=None, *,
@@ -257,7 +242,7 @@ def check_trace_replay(spec, mechanism: str | MechanismSpec,
     Returns ``{"identical": bool, "mismatches": [(group, epoch), ...],
     "counters": ...}`` — the CLI's ``--check`` exits nonzero on any
     mismatch.  The cold side rebuilds everything per epoch per group
-    (``incremental=False``, no substrate cache), the strongest reference
+    (``incremental=False``, no substrate store), the strongest reference
     the dynamic layer offers.
     """
     session = MultiGroupSession(spec)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import MechanismSpec, MulticastSession, ScenarioSpec
+from repro.api import MechanismSpec, MulticastSession, ScenarioSpec, result_to_dict
 from repro.core import EuclideanJVMechanism, UniversalTreeShapleyMechanism
 from repro.geometry import uniform_points
 from repro.wireless import EuclideanCostGraph, UniversalTree
@@ -122,14 +122,27 @@ class TestRun:
                 assert a.shares == b.shares
                 assert a.cost == b.cost
 
-    def test_run_batch_equals_per_call_runs(self):
-        spec = small_spec()
+    @pytest.mark.parametrize("mechanism, tree", [
+        ("tree-shapley", "spt"), ("tree-shapley", "mst"),
+        ("tree-shapley", "star"), ("tree-mc", "spt"), ("jv", "spt"),
+    ], ids=["tree-shapley-spt", "tree-shapley-mst", "tree-shapley-star",
+            "tree-mc", "jv"])
+    def test_run_batch_equals_per_call_runs(self, mechanism, tree):
+        spec = ScenarioSpec.from_random(n=8, alpha=2.0, seed=3, side=5.0,
+                                        tree=tree)
         batch_session, call_session = MulticastSession(spec), MulticastSession(spec)
-        profiles = profiles_for(spec)
-        batched = batch_session.run_batch("jv", profiles)
-        singly = [call_session.run("jv", p) for p in profiles]
-        for a, b in zip(batched, singly):
-            assert a.receivers == b.receivers and a.shares == b.shares
+        profiles = profiles_for(spec, n_profiles=8, seed=1)
+        batched = batch_session.run_batch(mechanism, profiles)
+        singly = [call_session.run(mechanism, p) for p in profiles]
+        cold = [MulticastSession(spec).run(mechanism, p) for p in profiles]
+        assert len(batched) == len(profiles)
+        for a, b, c in zip(batched, singly, cold):
+            assert result_to_dict(a) == result_to_dict(b) == result_to_dict(c)
+        cache = batch_session.method_cache(mechanism)
+        if cache is not None:
+            assert cache.hits > 0  # the stream actually shared work
+        built = UniversalTree.build(spec.build_network(), spec.source, tree)
+        assert batch_session.universal_tree().parents == built.parents
 
     def test_method_cache_accumulates_hits(self):
         spec = small_spec()

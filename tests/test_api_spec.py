@@ -24,8 +24,20 @@ class TestScenarioSpecValidation:
             ScenarioSpec(kind="points", points=((0.0,), (1.0,)))
 
     def test_alpha_below_one_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ScenarioSpec.from_points([(0.0,), (1.0,)], alpha=0.5)
+        for alpha in (0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                ScenarioSpec.from_points([(0.0,), (1.0,)], alpha=alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                ScenarioSpec.from_random(n=4, seed=0, alpha=alpha)
+
+    def test_non_finite_layout_numbers_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="points entries must be finite"):
+                ScenarioSpec.from_points([(0.0, 0.0), (1.0, bad)], alpha=2.0)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                ScenarioSpec.from_matrix([[0.0, bad], [bad, 0.0]])
+            with pytest.raises(ValueError, match="side must be finite"):
+                ScenarioSpec.from_random(n=4, seed=0, side=bad)
 
     def test_matrix_must_be_square(self):
         with pytest.raises(ValueError, match="square"):

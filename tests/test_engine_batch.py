@@ -1,29 +1,9 @@
-"""Tests for repro.engine.batch: memoised batched mechanism evaluation."""
+"""Tests for repro.engine.batch: the memoised xi(R) cache."""
 
-import numpy as np
 import pytest
 
 import repro.engine as engine
-from repro.analysis.instances import random_utilities
-from repro.core import EuclideanJVMechanism, UniversalTreeShapleyMechanism
-from repro.engine.batch import (
-    JVBatch,
-    MethodCache,
-    UniversalTreeBatch,
-    run_profiles,
-    sweep_instances,
-)
-from repro.geometry import uniform_points
-from repro.wireless import EuclideanCostGraph, UniversalTree
-
-
-def small_network(n=7, seed=0):
-    return EuclideanCostGraph(uniform_points(n, 2, rng=seed, side=5.0), alpha=2.0)
-
-
-def profile_stream(network, k, seed=0, scale=2.0):
-    rng = np.random.default_rng(seed)
-    return [random_utilities(network, 0, rng, scale=scale) for _ in range(k)]
+from repro.engine.batch import MethodCache
 
 
 class TestMethodCache:
@@ -55,104 +35,8 @@ class TestMethodCache:
         assert cache.hits == 0 and cache.misses == 0 and cache.hit_rate == 0.0
 
 
-class TestRunProfiles:
-    def test_matches_naive_loop(self):
-        network = small_network()
-        tree = UniversalTree.from_shortest_paths(network, 0)
-        mech = UniversalTreeShapleyMechanism(tree)
-        profiles = profile_stream(network, 6)
-
-        from repro.core.universal_tree_mechanisms import universal_tree_shapley_shares
-
-        batched = run_profiles(
-            tree.agents(), lambda R: universal_tree_shapley_shares(tree, R),
-            profiles,
-        )
-        naive = [mech.run(p) for p in profiles]
-        for a, b in zip(batched, naive):
-            assert a.receivers == b.receivers
-            assert a.shares == b.shares
-
-    def test_cache_false_calls_method_directly(self):
-        calls = []
-
-        def method(R):
-            calls.append(1)
-            return {i: 0.0 for i in R}
-
-        run_profiles([1, 2], method, [{1: 5.0, 2: 5.0}] * 3, cache=False)
-        assert len(calls) == 3  # no memoisation across profiles
-
-    def test_cache_false_unwraps_an_existing_method_cache(self):
-        calls = []
-
-        def method(R):
-            calls.append(1)
-            return {i: 0.0 for i in R}
-
-        wrapped = MethodCache(method)
-        run_profiles([1, 2], wrapped, [{1: 5.0, 2: 5.0}] * 3, cache=False)
-        assert len(calls) == 3  # the wrapper was bypassed, as documented
-        assert wrapped.hits == wrapped.misses == 0
-
-
-class TestUniversalTreeBatch:
-    def test_identical_to_per_profile_runs(self):
-        network = small_network(8, seed=3)
-        profiles = profile_stream(network, 8, seed=1)
-        batch = UniversalTreeBatch(network, 0, kind="spt")
-        batched = batch.shapley(profiles)
-        tree = UniversalTree.from_shortest_paths(network, 0)
-        for result, profile in zip(batched, profiles):
-            solo = UniversalTreeShapleyMechanism(tree).run(profile)
-            assert result.receivers == solo.receivers
-            assert result.shares == solo.shares
-            assert result.cost == solo.cost
-        assert batch.shapley_method.hits > 0  # the stream actually shared work
-
-    def test_marginal_cost_stream(self):
-        network = small_network(6, seed=5)
-        profiles = profile_stream(network, 3, seed=2)
-        results = UniversalTreeBatch(network, 0).marginal_cost(profiles)
-        assert len(results) == 3
-        for r in results:
-            assert r.total_charged() <= r.cost + 1e-9  # MC may run a deficit
-
-    def test_tree_kinds_and_validation(self):
-        network = small_network(5)
-        assert UniversalTreeBatch(network, 0, kind="mst").tree.parents[0] is None
-        assert UniversalTreeBatch(network, 0, kind="star").tree.parents[3] == 0
-        with pytest.raises(ValueError):
-            UniversalTreeBatch(network, 0, kind="bogus")
-
-
-class TestJVBatch:
-    def test_identical_to_per_profile_runs(self):
-        network = small_network(7, seed=9)
-        profiles = profile_stream(network, 5, seed=4)
-        batched = JVBatch(network, 0).run(profiles)
-        mech = EuclideanJVMechanism(network, 0)
-        for result, profile in zip(batched, profiles):
-            solo = mech.run(profile)
-            assert result.receivers == solo.receivers
-            assert result.shares == solo.shares
-            assert result.extra["closure_mst_weight"] == \
-                solo.extra["closure_mst_weight"]
-
-
-class TestSweepInstances:
-    def test_rows_tagged_with_instance_index(self):
-        rows = sweep_instances([10, 20], lambda x: {"value": x * 2})
-        assert rows == [{"value": 20, "instance": 0}, {"value": 40, "instance": 1}]
-
-    def test_explicit_instance_key_kept(self):
-        rows = sweep_instances(["a"], lambda x: {"instance": "custom"})
-        assert rows[0]["instance"] == "custom"
-
-
 class TestLazyPackageExports:
     def test_batch_names_resolve_through_package(self):
         assert engine.MethodCache is MethodCache
-        assert engine.UniversalTreeBatch is UniversalTreeBatch
         with pytest.raises(AttributeError):
             engine.does_not_exist

@@ -403,3 +403,57 @@ def test_http_server_round_trip_keep_alive_and_errors():
             await server.close()
 
     run(go())
+
+
+def _strict_json(raw: bytes):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token!r}")
+    return json.loads(raw, parse_constant=reject)
+
+
+async def _raw_body(port: int, body: bytes) -> tuple[int, bytes]:
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write((f"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                      f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        length = 0
+        while (line := await reader.readline()) not in (b"\r\n", b"\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return status, await reader.readexactly(length)
+    finally:
+        writer.close()
+
+
+def test_non_finite_bids_are_400_with_strict_json_bodies():
+    """NaN and +-inf bids are rejected by every registered mechanism, and
+    no response body carries a non-JSON ``NaN``/``Infinity`` token."""
+    # A 1-d layout, so the optimal Euclidean mechanisms apply too.
+    spec = ScenarioSpec.from_random(n=6, dim=1, alpha=2.0, seed=3, side=5.0)
+    first = spec.agents()[0]
+
+    def body(mechanism: str, bid: float) -> bytes:
+        profile = {str(a): (bid if a == first else 4.0) for a in spec.agents()}
+        return json.dumps({"scenario": spec.to_dict(), "mechanism": mechanism,
+                           "profiles": [profile]}).encode()
+
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            for mechanism in available_mechanisms():
+                status, raw = await _raw_body(server.port, body(mechanism, 4.0))
+                assert status == 200, (mechanism, raw)
+                _strict_json(raw)
+                for bid in (float("nan"), float("inf"), float("-inf")):
+                    status, raw = await _raw_body(server.port,
+                                                  body(mechanism, bid))
+                    assert status == 400, (mechanism, bid, raw)
+                    assert "finite" in _strict_json(raw)["error"]
+        finally:
+            await server.close()
+
+    run(go())

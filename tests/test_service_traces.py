@@ -1,8 +1,9 @@
 """Multi-group traces through the serving path: ``/v1/run`` with
 ``(group, epoch)`` must answer bit-identically to a direct
 :class:`~repro.traces.session.MultiGroupSession`, one store entry hosts
-every group of a scenario, and the fleet router spreads groups over
-shards by the group-extended route key."""
+every group of a scenario (their substrates share that store), and the
+fleet router spreads groups over shards by the group-extended route
+key."""
 
 from __future__ import annotations
 
@@ -48,9 +49,15 @@ def test_run_endpoint_matches_direct_session_for_every_cell():
         assert payload["group"] == group and payload["epoch"] == epoch
         assert canon(payload["results"]) == canon(
             direct_wire(group, epoch, "tree-shapley"))
-    # Every group of the scenario lives in ONE store entry (the groups
-    # share a substrate cache there) — not one entry per group.
-    assert service.store.stats()["size"] == 1
+    # Every group of the scenario lives in ONE store entry — not one
+    # entry per group — and the groups' per-epoch substrates share the
+    # same store: one entry per distinct materialized geometry.
+    substrates = {SPEC.group_spec(group).materialize(epoch).to_json()
+                  for group in SPEC.group_ids
+                  for epoch in range(SPEC.n_epochs)}
+    assert SPEC.to_json() in service.store
+    assert all(key in service.store for key in substrates)
+    assert service.store.stats()["size"] == 1 + len(substrates)
 
 
 def test_batch_endpoint_mixes_groups_and_epochs():
@@ -119,3 +126,81 @@ def test_groups_spread_across_fleet_shards():
                            "epoch": 0}).encode("utf-8")
         shards.add(ring.route(scenario_route_key(body)))
     assert len(shards) >= 2
+
+
+def test_static_request_hits_a_substrate_the_trace_materialized():
+    """One LRU per service: the substrate a multi-group request built is
+    the warm session a static request for that scenario lands on."""
+    substrate = SPEC.group_spec("g0").materialize(1)
+
+    async def go():
+        client = ServiceClient(CostSharingService(batch_window=0.0))
+        status, _ = await client.run(SPEC, "tree-shapley", PROFILES,
+                                     epoch=1, group="g0")
+        assert status == 200
+        _, before = await client.stats()
+        status, payload = await client.run(substrate, "tree-shapley",
+                                           PROFILES)
+        assert status == 200
+        _, after = await client.stats()
+        return payload, before["store"], after["store"]
+
+    payload, before, after = asyncio.run(go())
+    assert canon(payload["results"]) == canon(direct_wire("g0", 1, "tree-shapley"))
+    assert after["hits"] == before["hits"] + 1  # the static lookup: a hit
+    assert after["misses"] == before["misses"]
+    assert after["substrate_sessions_built"] == 1
+    assert after["substrate_sessions_shared"] == 0
+    for store in (before, after):
+        assert (store["hits"] + store["misses"] + store["coalesced"]
+                == store["lookups"])
+
+
+def test_concurrent_trace_and_static_traffic_share_one_store():
+    """Multi-group cells and static requests for their substrates, all in
+    flight at once on a 4-thread pool over a 2-slot store: every answer
+    stays bit-identical and the lookup identities hold."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    cells = [(group, epoch) for group in SPEC.group_ids
+             for epoch in range(SPEC.n_epochs)]
+
+    async def go():
+        executor = ThreadPoolExecutor(4)
+        service = CostSharingService(batch_window=0.001, cache_size=2,
+                                     executor=executor)
+        client = ServiceClient(service)
+        try:
+            calls = []
+            for _ in range(3):
+                for group, epoch in cells:
+                    calls.append(client.run(SPEC, "tree-shapley", PROFILES,
+                                            epoch=epoch, group=group))
+                    calls.append(client.run(
+                        SPEC.group_spec(group).materialize(epoch),
+                        "tree-shapley", PROFILES))
+            answers = await asyncio.wait_for(asyncio.gather(*calls), 60.0)
+            _, stats = await client.stats()
+        finally:
+            executor.shutdown(wait=True)
+        return answers, stats["store"]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        answers, store = asyncio.run(go())
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [canon(direct_wire(group, epoch, "tree-shapley"))
+                for group, epoch in cells]
+    for i, (status, payload) in enumerate(answers):
+        assert status == 200
+        assert canon(payload["results"]) == expected[(i // 2) % len(cells)]
+    assert (store["hits"] + store["misses"] + store["coalesced"]
+            == store["lookups"])
+    # Substrate lookups (each one built or shared) are store lookups too,
+    # beside at least one lookup per flushed request group.
+    substrate = store["substrate_sessions_built"] + store["substrate_sessions_shared"]
+    assert 1 <= substrate < store["lookups"]
+    assert store["size"] <= 2

@@ -15,7 +15,6 @@ from repro.observability import MetricsRegistry
 from repro.runner import ProfileSpec
 from repro.traces import (
     MultiGroupSession,
-    SubstrateCache,
     check_trace_replay,
     generate_trace,
     group_profile_spec,
@@ -147,21 +146,31 @@ def test_run_epoch_matches_cold_session_run():
 
 
 def test_substrate_cache_is_a_bounded_lru():
-    from repro.api import ScenarioSpec
+    from repro.api import MulticastSession, ScenarioSpec
+    from repro.api.store import SessionStore
 
-    cache = SubstrateCache(capacity=2)
+    store = SessionStore(2, builder=MulticastSession)
     specs = [ScenarioSpec(kind="random", n=5, alpha=2.0, seed=seed)
              for seed in range(3)]
-    first = cache.session(specs[0])
-    assert cache.session(specs[0]) is first  # hit
-    cache.session(specs[1])
-    cache.session(specs[2])  # evicts specs[0]
-    assert len(cache) == 2
-    assert cache.session(specs[0]) is not first  # rebuilt after eviction
-    assert cache.counters["substrate_sessions_built"] == 4
-    assert cache.counters["substrate_sessions_shared"] == 1
+    outcomes = []
+
+    def session(spec):
+        entry, built = store.lookup(spec)
+        outcomes.append(built)
+        return entry.session
+
+    first = session(specs[0])
+    assert session(specs[0]) is first  # hit
+    session(specs[1])
+    session(specs[2])  # evicts specs[0]
+    assert len(store) == 2
+    assert session(specs[0]) is not first  # rebuilt after eviction
+    assert outcomes.count(True) == 4  # substrate_sessions_built
+    assert outcomes.count(False) == 1  # substrate_sessions_shared
+    stats = store.stats()
+    assert (stats["misses"], stats["hits"], stats["evictions"]) == (4, 1, 2)
     with pytest.raises(ValueError, match="capacity"):
-        SubstrateCache(capacity=0)
+        SessionStore(-1, builder=MulticastSession)
 
 
 def test_registry_counters_mirror_the_sharing():
