@@ -122,12 +122,21 @@ class TestRun:
                 assert a.shares == b.shares
                 assert a.cost == b.cost
 
+    def test_run_batch_equals_per_call_runs(self):
+        spec = small_spec()
+        batch_session, call_session = MulticastSession(spec), MulticastSession(spec)
+        profiles = profiles_for(spec)
+        batched = batch_session.run_batch("jv", profiles)
+        singly = [call_session.run("jv", p) for p in profiles]
+        for a, b in zip(batched, singly):
+            assert a.receivers == b.receivers and a.shares == b.shares
+
     @pytest.mark.parametrize("mechanism, tree", [
         ("tree-shapley", "spt"), ("tree-shapley", "mst"),
         ("tree-shapley", "star"), ("tree-mc", "spt"), ("jv", "spt"),
     ], ids=["tree-shapley-spt", "tree-shapley-mst", "tree-shapley-star",
             "tree-mc", "jv"])
-    def test_run_batch_equals_per_call_runs(self, mechanism, tree):
+    def test_run_batch_matches_per_call_and_cold_runs(self, mechanism, tree):
         spec = ScenarioSpec.from_random(n=8, alpha=2.0, seed=3, side=5.0,
                                         tree=tree)
         batch_session, call_session = MulticastSession(spec), MulticastSession(spec)
