@@ -143,15 +143,10 @@ class MulticastSession:
             return tree
 
     def metric_closure(self):
-        """All-pairs shortest-path matrix of the network (built once;
-        shared by every Jain-Vazirani parameterization)."""
-        with self._lock:
-            if self._closure is None:
-                from repro.core.jv_steiner import metric_closure_matrix
-
-                self._closure = self._timed_build(
-                    "closure", lambda: metric_closure_matrix(self.network))
-            return self._closure
+        """All-pairs shortest-path matrix of the network (built once, in
+        the same pass as its parent rows; shared by every Jain-Vazirani
+        parameterization)."""
+        return self._closure_pass(full=True).rows
 
     def terminal_closure(self):
         """The cheapest closure that can price this scenario's agents.
@@ -166,15 +161,31 @@ class MulticastSession:
         """
         if self.scenario.receivers is None:
             return self.metric_closure()
-        with self._lock:
-            if self._terminal_closure is None:
-                from repro.engine.closure import TerminalClosure
+        return self.closure_paths()
 
-                terminals = [self.source, *self.scenario.receivers]
-                self._terminal_closure = self._timed_build(
+    def closure_paths(self):
+        """The :class:`~repro.engine.closure.TerminalClosure` behind
+        :meth:`terminal_closure`, parent rows included: sourced at every
+        station, or at ``{source} + receivers`` when the spec restricts
+        the agents.  The jv outcome build reads its witness paths here."""
+        return self._closure_pass(full=self.scenario.receivers is None)
+
+    def _closure_pass(self, *, full: bool):
+        """The one shortest-path pass (distances and parents) per closure
+        kind, built lazily and cached."""
+        from repro.engine.closure import TerminalClosure
+
+        attr = "_closure" if full else "_terminal_closure"
+        with self._lock:
+            closure = getattr(self, attr)
+            if closure is None:
+                terminals = (range(self.network.n) if full
+                             else [self.source, *self.scenario.receivers])
+                closure = self._timed_build(
                     "closure",
                     lambda: TerminalClosure.from_network(self.network, terminals))
-            return self._terminal_closure
+                setattr(self, attr, closure)
+            return closure
 
     # -- mechanisms ---------------------------------------------------------
     def _key(self, name: str, params: Mapping) -> tuple:
@@ -279,32 +290,33 @@ class MulticastSession:
             return self._cache_info_locked()
 
     def _cache_info_locked(self) -> dict:
-        per_name: dict[str, int] = {}
-        for key in self._method_caches:
-            per_name[key[0]] = per_name.get(key[0], 0) + 1
-
-        def label(key: tuple) -> str:
-            # Bare name unless several parameterizations coexist — then
-            # each keeps its params so none shadows another.
-            if per_name[key[0]] == 1:
-                return key[0]
-            return f"{key[0]} {dict(key[1])}"
-
+        builds = {key: mech.outcomes for key, mech in self._mechanisms.items()
+                  if isinstance(getattr(mech, "outcomes", None), MethodCache)}
         return {
             "network_built": self._network is not None,
             "trees": sorted(self._trees),
             "closure_built": self._closure is not None,
             "terminal_closure_built": self._terminal_closure is not None,
             "mechanisms": len(self._mechanisms),
-            "methods": {
-                label(key): {
-                    "hits": cache.hits, "misses": cache.misses,
-                    "hit_rate": cache.hit_rate,
-                }
-                for key, cache in self._method_caches.items()
-            },
+            "methods": _memo_counts(self._method_caches),
+            "builds": _memo_counts(builds),
         }
 
     def __repr__(self) -> str:
         return (f"MulticastSession({self.scenario.kind!r}, n={self.scenario.n_stations}, "
                 f"source={self.source})")
+
+
+def _memo_counts(caches: Mapping[tuple, MethodCache]) -> dict:
+    """Hit/miss counters per mechanism key, labelled by the bare name
+    unless several parameterizations coexist — then each keeps its
+    params so none shadows another."""
+    per_name: dict[str, int] = {}
+    for key in caches:
+        per_name[key[0]] = per_name.get(key[0], 0) + 1
+    return {
+        (key[0] if per_name[key[0]] == 1 else f"{key[0]} {dict(key[1])}"): {
+            "hits": cache.hits, "misses": cache.misses, "hit_rate": cache.hit_rate,
+        }
+        for key, cache in caches.items()
+    }

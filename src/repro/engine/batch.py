@@ -51,11 +51,17 @@ class MethodCache:
     external instruments with an ``inc()`` method (the session facade
     passes registry counters) — the plain ``hits``/``misses`` attributes
     stay authoritative either way.
+
+    ``copy`` is how a stored value is handed out: ``dict`` (a fresh
+    copy) for share dicts; ``None`` shares the stored entry, for
+    memoised values that are immutable (the jv mechanism's outcome
+    builds).
     """
 
-    def __init__(self, method: Method, *, counters=None) -> None:
+    def __init__(self, method: Method, *, counters=None, copy=dict) -> None:
         self._method = method
-        self._cache: dict[frozenset, dict[Agent, float]] = {}
+        self._copy = copy if copy is not None else _shared
+        self._cache: dict[frozenset, Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -77,8 +83,8 @@ class MethodCache:
             found = self._cache.get(key)
             if found is not None:
                 self._count_hit()
-                return dict(found)
-        computed = dict(self._method(key))
+                return self._copy(found)
+        computed = self._copy(self._method(key))
         with self._lock:
             found = self._cache.get(key)
             if found is None:
@@ -87,7 +93,7 @@ class MethodCache:
                 found = computed
             else:
                 self._count_hit()
-        return dict(found)
+        return self._copy(found)
 
     def put(self, R: frozenset, shares: Mapping[Agent, float]) -> None:
         """Seed the memo with an externally computed ``xi(R)`` (the batch
@@ -97,7 +103,7 @@ class MethodCache:
         key = frozenset(R)
         with self._lock:
             if key not in self._cache:
-                self._cache[key] = dict(shares)
+                self._cache[key] = self._copy(shares)
                 self._count_miss()
 
     def __contains__(self, R: frozenset) -> bool:
@@ -114,6 +120,10 @@ class MethodCache:
             self._cache.clear()
             self.hits = 0
             self.misses = 0
+
+
+def _shared(value):
+    return value
 
 
 def run_profiles_lockstep(

@@ -5,8 +5,10 @@ materialised a dict :class:`~repro.graphs.adjacency.Graph` over the
 terminals and snapshotted every merge component as a frozenset — ``O(k^2)``
 allocations per evaluation, re-paid on every Moulin-Shenker round.  These
 kernels run the same moat process straight off the metric-closure matrix:
-edges come from ``triu`` index arrays, components live in an integer
-union-find with member lists, and shares accumulate into a flat vector.
+edges come from ``triu`` index arrays sorted by one ``np.lexsort``
+(:func:`repro.engine.closure.kruskal_order`), components live in an
+integer union-find with member lists, and shares accumulate into a flat
+vector.
 
 Tie-breaking replicates :func:`repro.graphs.mst.kruskal_mst` exactly
 (sort key ``(weight, repr(u), repr(v))`` with ``(u, v)`` oriented by
@@ -24,8 +26,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.engine.closure import closure_submatrix
+from repro.engine.closure import closure_submatrix, kruskal_order
 from repro.graphs.disjoint_set import DisjointSet
+from repro.graphs.mst import kruskal_accept
 
 
 def _sorted_closure_edges(closure, pts: Sequence[int]):
@@ -35,15 +38,7 @@ def _sorted_closure_edges(closure, pts: Sequence[int]):
     :class:`~repro.engine.closure.TerminalClosure` — the submatrix (and
     therefore the schedule) is bit-identical either way.
     """
-    k = len(pts)
-    sub = closure_submatrix(closure, pts)
-    iu, iv = np.triu_indices(k, 1)
-    w = sub[iu, iv]
-    order = sorted(
-        range(len(w)),
-        key=lambda e: (w[e], repr(pts[int(iu[e])]), repr(pts[int(iv[e])])),
-    )
-    return [(int(iu[e]), int(iv[e]), float(w[e])) for e in order]
+    return kruskal_order(closure_submatrix(closure, pts), pts)
 
 
 def sort_moat_edges(
@@ -152,11 +147,7 @@ def moat_mst_weight(closure, source: int, members: Sequence[int]) -> float:
 def kruskal_total(k: int, sorted_edges: Sequence[tuple[int, int, float]]) -> float:
     """Spanning-forest weight of ``sorted_edges`` over ``k`` points,
     accumulated in Kruskal acceptance order."""
-    dsu = DisjointSet(range(k))
     total = 0.0
-    for a, b, w in sorted_edges:
-        if dsu.union(a, b):
-            total += w
-            if dsu.n_components == 1:
-                break
+    for _, _, w in kruskal_accept(k, sorted_edges):
+        total += w
     return total

@@ -28,12 +28,14 @@ node_weighted
     excluding the source), the metric used by node-weighted Steiner.
 mst
     Kruskal (with a merge-event trace used by the Jain-Vazirani cost
-    shares) and Prim minimum spanning trees.
+    shares, or over an index edge list already in Kruskal order) and Prim
+    minimum spanning trees.
 arborescence
     Chu-Liu/Edmonds minimum spanning arborescence.
 steiner
-    Metric closure, the Kou-Markowsky-Berman 2-approximate Steiner tree and
-    the exact Dreyfus-Wagner dynamic program.
+    Metric closure, the Kou-Markowsky-Berman 2-approximate Steiner tree
+    (also over a closure the caller already holds) and the exact
+    Dreyfus-Wagner dynamic program.
 nwst
     Node-weighted Steiner trees: Klein-Ravi spiders, Guha-Khuller
     branch-spiders, the greedy ratio algorithm used by the paper's NWST

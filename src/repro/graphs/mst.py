@@ -78,6 +78,22 @@ def kruskal_complete(
     return kruskal_mst(g, trace=trace)
 
 
+def kruskal_accept(
+    k: int, sorted_edges: Iterable[tuple[int, int, float]]
+) -> list[tuple[int, int, float]]:
+    """The edges Kruskal accepts from ``sorted_edges`` — index pairs over
+    points ``0..k-1``, already in Kruskal order — in acceptance order (a
+    spanning forest; stops once the points are connected)."""
+    dsu = DisjointSet(range(k))
+    accepted = []
+    for edge in sorted_edges:
+        if dsu.union(edge[0], edge[1]):
+            accepted.append(edge)
+            if dsu.n_components == 1:
+                break
+    return accepted
+
+
 def prim_mst(graph: Graph, root: Node | None = None) -> list[tuple[Node, Node, float]]:
     """Prim's algorithm from ``root`` (default: an arbitrary node).
 

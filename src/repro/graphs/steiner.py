@@ -6,24 +6,42 @@ Three tools the paper's section 3.2 machinery needs:
   terminals, the space in which both the KMB approximation and the
   Jain-Vazirani cost shares live;
 * :func:`kmb_steiner_tree` — the classic Kou-Markowsky-Berman
-  2(1-1/k)-approximation [34 in the paper];
+  2(1-1/k)-approximation [34 in the paper], a thin front end over
+  :func:`kmb_steiner_from_closure`, which callers that already hold a
+  closure (the jv mechanism's session) call directly;
 * :func:`dreyfus_wagner` — the exact O(3^k n) dynamic program, used as the
   optimum oracle when validating the approximation and budget-balance
   factors.
+
+Tie-break (pinned by ``tests/test_jv_golden.py``): the closure MST takes
+edges in :func:`repro.engine.closure.kruskal_order` — weight, then the
+``repr`` of each endpoint, the order of
+:func:`repro.graphs.mst.kruskal_mst`.  A witness path is the one its
+source's Dijkstra records: on array graphs the lockstep
+:func:`~repro.engine.dense.batched_dijkstra` parent row (each round
+settles the smallest-index minimum, and a parent changes only on a
+strict improvement), on dict graphs the heap Dijkstra's parent map.
+Paths are reconstructed lazily, only for the ``k - 1`` closure edges the
+MST accepts (:func:`repro.graphs.mst.kruskal_accept`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+import math
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.engine.backend import as_array_backend
-from repro.engine.dense import ArrayGraph, batched_dijkstra
+from repro.engine.closure import TerminalClosure, kruskal_order
+from repro.engine.dense import ArrayGraph
 from repro.graphs.adjacency import Graph
-from repro.graphs.mst import kruskal_complete, prim_mst
+from repro.graphs.mst import kruskal_accept, prim_mst
 from repro.graphs.shortest_paths import all_pairs_dijkstra, dijkstra, reconstruct_path
 
 Node = Hashable
+PathSource = Callable[[Node, Node], list]
 
 
 def _all_pairs_fast(graph: Graph | ArrayGraph) -> dict[Node, dict[Node, float]]:
@@ -46,57 +64,46 @@ class MetricClosure:
         return 0.0 if u == v else self.distance[u][v]
 
 
+def _terminal_closure(graph: Graph | ArrayGraph,
+                      terminals: list[Node]) -> tuple[np.ndarray, PathSource]:
+    """The ``(k, k)`` closure block among ``terminals`` (row = source) and
+    a witness-path source ``path(u, v)``.
+
+    Array graphs with a weight matrix run every terminal's Dijkstra in one
+    lockstep sweep that keeps the parent rows; other graphs run one
+    early-exit heap Dijkstra per terminal and keep its parent map.
+    """
+    if isinstance(graph, ArrayGraph) and hasattr(graph, "matrix"):
+        closure = TerminalClosure.from_graph(graph, terminals)
+        return closure.submatrix(terminals), closure.path
+    targets = set(terminals)
+    dists, parents = {}, {}
+    for t in terminals:
+        dists[t], parents[t] = dijkstra(graph, t, targets=targets)
+    block = np.array([[dists[t].get(o, np.inf) for o in terminals] for t in terminals],
+                     dtype=float).reshape(len(terminals), len(terminals))
+    return block, lambda u, v: reconstruct_path(parents[u], v)
+
+
 def metric_closure(graph: Graph | ArrayGraph, terminals: Sequence[Node]) -> MetricClosure:
-    """Shortest-path closure restricted to ``terminals``.
+    """Shortest-path closure restricted to ``terminals``, with the witness
+    path of every ordered terminal pair.
 
     Array-backed graphs run every terminal's Dijkstra in one lockstep
     sweep (:func:`repro.engine.dense.batched_dijkstra`); dict graphs run
     one early-exit heap Dijkstra per terminal.  Distances agree exactly;
-    witness paths may differ only between equally-short alternatives.
+    witness paths follow the tie-break in the module docstring.
     """
-    terminals = list(terminals)
-    if isinstance(graph, ArrayGraph) and hasattr(graph, "matrix"):
-        return _metric_closure_dense(graph, terminals)
-    distance: dict[Node, dict[Node, float]] = {}
-    paths: dict[tuple[Node, Node], list[Node]] = {}
-    targets = set(terminals)
-    for t in terminals:
-        dist, parent = dijkstra(graph, t, targets=targets)
-        row = {}
-        for other in terminals:
-            if other == t:
-                continue
-            if other not in dist:
-                raise ValueError(f"terminals {t!r} and {other!r} are disconnected")
-            row[other] = dist[other]
-            paths[(t, other)] = reconstruct_path(parent, other)
-        distance[t] = row
-    return MetricClosure(distance, paths)
-
-
-def _metric_closure_dense(graph: ArrayGraph, terminals: list[Node]) -> MetricClosure:
-    import numpy as np
-
-    term_idx = [int(t) for t in terminals]
-    dist_mat, parent_mat = batched_dijkstra(graph.matrix, term_idx, return_parents=True)
-    distance: dict[Node, dict[Node, float]] = {}
-    paths: dict[tuple[Node, Node], list[Node]] = {}
-    for a, t in enumerate(terminals):
-        row = {}
-        parents = parent_mat[a]
-        for other in terminals:
-            if other == t:
-                continue
-            d = dist_mat[a, int(other)]
-            if not np.isfinite(d):
-                raise ValueError(f"terminals {t!r} and {other!r} are disconnected")
-            row[other] = float(d)
-            path = [int(other)]
-            while path[-1] != int(t):
-                path.append(int(parents[path[-1]]))
-            path.reverse()
-            paths[(t, other)] = path
-        distance[t] = row
+    terminals = list(dict.fromkeys(terminals))
+    block, path = _terminal_closure(graph, terminals)
+    bad = np.argwhere(~np.isfinite(block))
+    if len(bad):
+        a, b = bad[0]
+        raise ValueError(
+            f"terminals {terminals[a]!r} and {terminals[b]!r} are disconnected")
+    distance = {t: {o: float(block[a, b]) for b, o in enumerate(terminals) if o != t}
+                for a, t in enumerate(terminals)}
+    paths = {(t, o): path(t, o) for t in terminals for o in terminals if o != t}
     return MetricClosure(distance, paths)
 
 
@@ -116,26 +123,49 @@ class SteinerTree:
         return g
 
 
-def kmb_steiner_tree(graph: Graph, terminals: Sequence[Node]) -> SteinerTree:
+def kmb_steiner_tree(graph: Graph | ArrayGraph, terminals: Sequence[Node]) -> SteinerTree:
     """Kou-Markowsky-Berman 2-approximate minimum Steiner tree.
 
-    Steps: MST of the metric closure; expand closure edges into shortest
-    paths; MST of the expanded subgraph; prune non-terminal leaves.
+    Computes the terminals' closure (one shortest-path pass with parents)
+    and hands it to :func:`kmb_steiner_from_closure`.
     """
     terminals = list(dict.fromkeys(terminals))
-    if not terminals:
-        return SteinerTree((), 0.0, frozenset())
-    if len(terminals) == 1:
+    if len(terminals) <= 1:
         return SteinerTree((), 0.0, frozenset(terminals))
-    closure = metric_closure(graph, terminals)
-    closure_mst, _ = kruskal_complete(terminals, closure.dist)
+    block, path = _terminal_closure(graph, terminals)
+    mst = kruskal_accept(len(terminals), kruskal_order(block, terminals))
+    return kmb_steiner_from_closure(graph, terminals, mst, path)
 
+
+def kmb_steiner_from_closure(
+    graph: Graph | ArrayGraph,
+    terminals: Sequence[Node],
+    mst: Sequence[tuple[int, int, float]],
+    path: PathSource,
+) -> SteinerTree:
+    """KMB over a closure the caller already holds.
+
+    ``mst`` is the closure MST among the distinct ``terminals`` as
+    ``(i, j, w)`` index pairs in Kruskal acceptance order
+    (:func:`repro.graphs.mst.kruskal_accept` over
+    :func:`repro.engine.closure.kruskal_order`) and ``path(u, v)``
+    returns the witness path from ``u`` to ``v``.  Steps: expand only
+    the MST edges into their witness paths; MST of the expanded subgraph
+    (Prim from ``terminals[0]``); prune non-terminal leaves.
+    """
+    terminals = list(terminals)
+    for a, b, w in mst:
+        if math.isinf(w):
+            raise ValueError(
+                f"terminals {terminals[a]!r} and {terminals[b]!r} are disconnected")
+    if len(terminals) <= 1:
+        return SteinerTree((), 0.0, frozenset(terminals))
     expanded = Graph()
     expanded.add_nodes(terminals)
-    for u, v, _ in closure_mst:
-        path = closure.path[(u, v)]
-        for a, b in zip(path, path[1:]):
-            expanded.add_edge(a, b, graph.weight(a, b))
+    for a, b, _ in mst:
+        witness = path(terminals[a], terminals[b])
+        for x, y in zip(witness, witness[1:]):
+            expanded.add_edge(x, y, graph.weight(x, y))
 
     tree_edges = prim_mst(expanded, root=terminals[0])
     tree = Graph()

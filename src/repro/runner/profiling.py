@@ -31,7 +31,7 @@ STAGE_MARKERS: dict[str, tuple[str, ...]] = {
     "closure": ("all_pairs_arrays", "metric_closure", "batched_dijkstra",
                 "heap_dijkstra_arrays", "multi_source_arrays",
                 "TerminalClosure"),
-    "tree": ("universal_tree", "mehlhorn_steiner_tree", "kmb_steiner_tree",
+    "tree": ("universal_tree", "mehlhorn_steiner_tree", "kmb_steiner",
              "mehlhorn_aux_metric", "find_min_ratio_spider", "prim_mst",
              "spanning_mst"),
     "xi": ("moulin_shenker", "water_filling_shares", "moat_shares",

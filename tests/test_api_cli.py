@@ -71,6 +71,25 @@ class TestRunSubcommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mechanism"]["params"] == {"tree": "mst"}
 
+    def test_jv_profile_attributes_closure_and_tree_stages(self, wired, capsys):
+        tmp_path, _, _ = wired
+        assert main(["run", "--scenario", str(tmp_path / "spec.json"),
+                     "--mechanism", "jv",
+                     "--profiles", str(tmp_path / "profiles.json"),
+                     "--profile", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"]  # stdout stays payload-only
+        stages = {}
+        for line in captured.err.splitlines():
+            fields = line.split()
+            if len(fields) == 5 and fields[3] == "calls":
+                stages[fields[0]] = fields[4]
+        # The session's one closure pass (distances + parent rows) and the
+        # KMB build on it are both attributed.
+        assert stages["closure"] in ("metric_closure", "metric_closure_arrays",
+                                     "batched_dijkstra")
+        assert stages["tree"] == "kmb_steiner_from_closure"
+
     def test_unknown_mechanism_exits_2(self, wired, capsys):
         # Regression: an unknown name must never escape as a traceback —
         # exit 2 with the full available_mechanisms() catalogue on stderr.

@@ -19,6 +19,7 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -397,8 +398,33 @@ def test_loadgen_reports_per_shard_latency_against_a_router():
 
 
 # -- the real subprocess tree ------------------------------------------------
+def _child_pids(pid: int) -> list[int]:
+    """Live direct children of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in pathlib.Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_fleet_cli_serves_workers_behind_one_router():
-    """``python -m repro fleet`` end to end: the CI smoke shape."""
+    """``python -m repro fleet`` end to end: the CI smoke shape.  SIGTERM
+    to the router reaps its workers: none outlives it (checked where
+    ``/proc`` lists the worker processes)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO_SRC) + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else str(REPO_SRC))
@@ -406,6 +432,7 @@ def test_fleet_cli_serves_workers_behind_one_router():
         [sys.executable, "-m", "repro", "fleet", "--port", "0",
          "--workers", "2", "--batch-window", "0.0"],
         stdout=subprocess.PIPE, text=True, env=env)
+    workers = []
     try:
         port = None
         deadline = time.monotonic() + 120
@@ -422,6 +449,16 @@ def test_fleet_cli_serves_workers_behind_one_router():
             mechanisms=["tree-shapley"], profile_count=1, keys=6, zipf=1.1)
         assert report.statuses == {200: 20}
         assert report.check(expect_shards=2) == []
+        if pathlib.Path("/proc/self/stat").exists():
+            workers = _child_pids(process.pid)
+            assert len(workers) == 2
     finally:
         process.terminate()
         process.wait(timeout=30)
+    deadline = time.monotonic() + 10
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in workers if _alive(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert orphans == []
