@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import result_to_dict
 from repro.core.euclidean_bb import EuclideanJVMechanism, jv_bb_bound
+from repro.core.jv_steiner import metric_closure_matrix
+from repro.engine.closure import TerminalClosure
 from repro.geometry.points import uniform_points
 from repro.mechanism.properties import (
     check_cs,
@@ -40,6 +43,19 @@ class TestMechanism:
         assert result.total_charged() >= result.cost - 1e-9
         if result.receivers:
             assert result.power.reaches(net, 0, result.receivers)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_closure_form_gives_the_same_outcome(self, seed):
+        net, profile = case(seed, n=8)
+        expected = result_to_dict(EuclideanJVMechanism(net, 0).run(profile))
+        shuffled = np.random.default_rng(seed).permutation(net.n)
+        for closure in (
+            metric_closure_matrix(net),  # bare distances: paths built aside
+            TerminalClosure.from_network(net, range(net.n)),
+            TerminalClosure.from_network(net, shuffled),  # rows not in station order
+        ):
+            mech = EuclideanJVMechanism(net, 0, closure=closure)
+            assert result_to_dict(mech.run(profile)) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim,alpha", [(2, 2.0), (3, 3.0)])
