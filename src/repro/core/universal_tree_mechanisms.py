@@ -15,7 +15,8 @@ submodular, so two classical constructions apply:
 * the **marginal-cost (MC) mechanism** — efficient and strategyproof.
   :func:`tree_efficient_set` finds the largest efficient receiver set by a
   bottom-up tree DP (max-welfare, then max-size, both decomposable), giving
-  a polynomial MC mechanism.
+  a polynomial MC mechanism; every receiver's leave-one-out net worth
+  comes from the same pass by re-evaluating only its root path.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.api.registry import register_mechanism
-from repro.engine.trees import efficient_set, water_filling_shares, water_filling_shares_many
+from repro.engine.trees import (
+    efficient_set,
+    efficient_set_leave_one_out,
+    water_filling_shares,
+    water_filling_shares_many,
+)
 from repro.mechanism.base import Agent, CostSharingMechanism, MechanismResult, Profile
 from repro.mechanism.moulin_shenker import moulin_shenker
-from repro.mechanism.vcg import MarginalCostMechanism
 from repro.wireless.universal_tree import UniversalTree
 
 
@@ -115,9 +120,15 @@ class UniversalTreeShapleyMechanism(CostSharingMechanism):
                                      method=method, build=self._build)
 
 
-class UniversalTreeMCMechanism(MarginalCostMechanism):
+class UniversalTreeMCMechanism(CostSharingMechanism):
     """Marginal-cost mechanism on a universal tree: efficient and
     strategyproof (but not group strategyproof, and may run a deficit).
+
+    Charges each receiver ``u_i - (NW(u) - NW(u^{-i}))`` as the generic
+    :class:`~repro.mechanism.vcg.MarginalCostMechanism` does, but takes
+    every leave-one-out net worth from one DP pass
+    (:func:`~repro.engine.trees.efficient_set_leave_one_out`) instead of
+    one full re-solve per receiver.
 
     ``agents`` optionally restricts the potential receiver set; stations
     outside it stay pure relays for the efficient-set DP."""
@@ -125,26 +136,22 @@ class UniversalTreeMCMechanism(MarginalCostMechanism):
     def __init__(self, tree: UniversalTree,
                  agents: Iterable[Agent] | None = None) -> None:
         self.tree = tree
-        agent_list = sorted(agents) if agents is not None else tree.agents()
-        restrict = None if agents is None else agent_list
-
-        def solver(profile: dict[Agent, float]) -> tuple[float, frozenset]:
-            return tree_efficient_set(tree, profile, agents=restrict)
-
-        def cost_fn(R: frozenset) -> float:
-            return tree.cost(R)
-
-        super().__init__(agent_list, solver, cost_fn)
+        self.agents = sorted(agents) if agents is not None else tree.agents()
+        self._restrict = None if agents is None else self.agents
 
     def run(self, profile: Profile) -> MechanismResult:
-        result = super().run(profile)
-        power = self.tree.power_assignment(result.receivers)
+        u = self.validate_profile(profile)
+        nw, receivers, nw_without = efficient_set_leave_one_out(
+            self.tree.index(), u, agents=self._restrict)
+        # i's welfare is its marginal contribution NW(u) - NW(u^{-i}).
+        shares = {i: max(0.0, u[i] - (nw - nw_without[i])) for i in receivers}
+        power = self.tree.power_assignment(receivers)
         return MechanismResult(
-            receivers=result.receivers,
-            shares=result.shares,
-            cost=result.cost,
+            receivers=receivers,
+            shares=shares,
+            cost=float(power.cost()),
             power=power,
-            extra=result.extra,
+            extra={"net_worth": nw},
         )
 
 

@@ -31,7 +31,12 @@ from repro.engine.backend import (
 )
 from repro.engine.dense import ArrayGraph, CSRGraph, DenseGraph, batched_dijkstra
 from repro.engine.moats import moat_mst_weight, moat_shares
-from repro.engine.trees import TreeIndex, efficient_set, water_filling_shares
+from repro.engine.trees import (
+    TreeIndex,
+    efficient_set,
+    efficient_set_leave_one_out,
+    water_filling_shares,
+)
 
 __all__ = [
     "ArrayGraph",
@@ -43,6 +48,7 @@ __all__ = [
     "as_array_backend",
     "batched_dijkstra",
     "efficient_set",
+    "efficient_set_leave_one_out",
     "is_array_backend",
     "moat_mst_weight",
     "moat_shares",

@@ -4,11 +4,12 @@ One :class:`cProfile.Profile` wraps the whole pricing call; the report
 then *attributes* time to the pipeline's stages by matching the profiled
 function names against per-stage marker sets — build (network/backend
 construction), closure (all-pairs / terminal-sourced distances), tree
-(Steiner/universal-tree construction) and xi (share evaluation + the
-Moulin-Shenker drop loop).  Attribution through markers rather than
-explicit stage wrapping keeps the measured run identical to a normal
-one: the session's lazy caches (closure, trees) are built exactly when a
-mechanism demands them, never force-warmed just to be timed.
+(Steiner/universal-tree construction) and xi (share evaluation: the
+Moulin-Shenker drop loop, or the marginal-cost efficient-set DP).
+Attribution through markers rather than explicit stage wrapping keeps
+the measured run identical to a normal one: the session's lazy caches
+(closure, trees) are built exactly when a mechanism demands them, never
+force-warmed just to be timed.
 
 Stage times are the *cumulative* time of the stage's dominant marker
 function, so nested stages overlap (xi includes closure work a memoised
@@ -35,7 +36,8 @@ STAGE_MARKERS: dict[str, tuple[str, ...]] = {
              "mehlhorn_aux_metric", "find_min_ratio_spider", "prim_mst",
              "spanning_mst"),
     "xi": ("moulin_shenker", "water_filling_shares", "moat_shares",
-           "run_profiles_lockstep", "shapley", "_aux_shares"),
+           "run_profiles_lockstep", "shapley", "_aux_shares",
+           "efficient_set"),  # also efficient_set_leave_one_out (tree-mc)
 }
 
 

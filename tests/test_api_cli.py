@@ -90,6 +90,21 @@ class TestRunSubcommand:
                                      "batched_dijkstra")
         assert stages["tree"] == "kmb_steiner_from_closure"
 
+    def test_tree_mc_profile_attributes_the_efficient_set_dp(self, wired, capsys):
+        tmp_path, _, _ = wired
+        assert main(["run", "--scenario", str(tmp_path / "spec.json"),
+                     "--mechanism", "tree-mc",
+                     "--profiles", str(tmp_path / "profiles.json"),
+                     "--profile", "--json"]) == 0
+        stages = {}
+        for line in capsys.readouterr().err.splitlines():
+            fields = line.split()
+            if len(fields) == 5 and fields[3] == "calls":
+                stages[fields[0]] = fields[4]
+        # The marginal-cost solver is the xi stage of a tree-mc run.
+        assert stages["xi"] == "efficient_set_leave_one_out"
+        assert stages["tree"] == "universal_tree"
+
     def test_unknown_mechanism_exits_2(self, wired, capsys):
         # Regression: an unknown name must never escape as a traceback —
         # exit 2 with the full available_mechanisms() catalogue on stderr.

@@ -11,6 +11,7 @@ from repro.core.universal_tree_mechanisms import (
     tree_efficient_set,
     universal_tree_shapley_shares,
 )
+from repro.engine.trees import efficient_set, efficient_set_leave_one_out
 from repro.graphs.random_graphs import random_cost_matrix
 from repro.mechanism.properties import (
     check_cs,
@@ -97,6 +98,66 @@ class TestTreeEfficientSetDP:
         # With all-zero utilities the largest efficient set is empty
         # (serving anyone costs > 0 on a generic instance).
         assert R == frozenset()
+
+
+@st.composite
+def tied_instances(draw):
+    """A universal tree of any kind over a random or integer-valued cost
+    matrix (with zero and 1e-13 links), plus a profile mixing zero, integer, child-edge-cost and
+    root-path-cost bids (exact and within-epsilon ties) with uniform ones."""
+    n = draw(st.integers(2, 9))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["spt", "mst", "star"]))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # Integer costs plus near-coincident stations (a 1e-13 link).
+        m = np.triu(rng.choice([0.0, 1e-13, 1.0, 2.0, 3.0], size=(n, n)), 1)
+        matrix = m + m.T
+    else:
+        matrix = random_cost_matrix(n, rng=rng)
+    net = CostGraph(matrix)
+    tree = UniversalTree.build(net, 0, kind)
+    profile = {}
+    for a in tree.agents():
+        edge = net.cost(tree.parents[a], a)
+        path, x = 0.0, a
+        while tree.parents[x] is not None:
+            path += net.cost(tree.parents[x], x)
+            x = tree.parents[x]
+        profile[a] = draw(st.sampled_from([
+            0.0, float(rng.integers(0, 5)), edge, path, edge + 1e-13,
+            max(0.0, edge - 1e-13), float(rng.uniform(0, 2 * max(path, 1.0)))]))
+    return tree, profile
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(case=tied_instances(), data=st.data())
+def test_leave_one_out_equals_a_full_resolve(restrict, case, data):
+    tree, profile = case
+    index = tree.index()
+    agents = None
+    if restrict:
+        agents = data.draw(st.lists(st.sampled_from(tree.agents()), unique=True))
+        profile = {a: profile[a] for a in agents}
+    nw, R, without = efficient_set_leave_one_out(index, profile, agents=agents)
+    assert (nw, R) == efficient_set(index, profile, agents=agents)
+    assert set(without) == R
+    for i in R:
+        assert without[i] == efficient_set(index, {**profile, i: 0.0}, agents=agents)[0]
+
+
+def test_leave_one_out_sees_a_relays_size_change():
+    # 0 -(1e-13)- relay 1 -(1)- receiver 2 bidding exactly its edge cost.
+    # Zeroing the bid leaves the relay's welfare at exactly 0.0 but its
+    # set size drops to 0, which flips the source's size tie-break: the
+    # path walk must not stop at the relay just because its welfare
+    # matches.
+    net = CostGraph([[0.0, 1e-13, 5.0], [1e-13, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    index = UniversalTree.from_shortest_paths(net, 0).index()
+    nw, R, without = efficient_set_leave_one_out(index, {2: 1.0}, agents=[2])
+    assert (nw, R) == (-1e-13, frozenset({2}))
+    assert without == {2: 0.0} == {2: efficient_set(index, {2: 0.0}, agents=[2])[0]}
 
 
 class TestShapleyMechanism:
