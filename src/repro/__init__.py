@@ -42,8 +42,8 @@ Layering (each layer only depends on the ones above it):
 * :mod:`repro.observability` — the telemetry layer beside all of the
   above: a thread-safe stdlib metrics registry (counters/gauges/
   histograms in labeled families, Prometheus text exposition on
-  ``GET /metrics``), an event bus, structured JSON request logs, and
-  the :class:`~repro.observability.AdaptiveController` closing the
+  ``GET /metrics``), per-request stage timing, structured JSON request
+  logs, and the :class:`~repro.observability.AdaptiveController` closing the
   loop from observed traffic back onto the serving knobs;
 * :mod:`repro.analysis` — instances, experiments, tables.
 
@@ -88,7 +88,6 @@ from repro.geometry import LAYOUT_FAMILIES, PointSet, layout_points, uniform_poi
 from repro.mechanism import MechanismResult
 from repro.observability import (
     AdaptiveController,
-    EventBus,
     MetricsRegistry,
     RequestLogger,
     default_registry,
@@ -123,7 +122,6 @@ __all__ = [
     "DynamicScenarioSpec",
     "DynamicSession",
     "EuclideanCostGraph",
-    "EventBus",
     "MetricsRegistry",
     "RequestLogger",
     "EuclideanJVMechanism",

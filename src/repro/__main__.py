@@ -138,6 +138,7 @@ def run_command(argv: list[str]) -> int:
         available_mechanisms,
         result_to_dict,
     )
+    from repro.api.serialize import profile_from_dict
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -177,7 +178,7 @@ def run_command(argv: list[str]) -> int:
         if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
             raise ValueError(
                 "profiles must be a JSON object {station: utility} or a list of them")
-        profiles = [{int(a): float(v) for a, v in prof.items()} for prof in raw]
+        profiles = [profile_from_dict(prof) for prof in raw]
         params = json.loads(pathlib.Path(args.params).read_text()) if args.params else {}
         mspec = MechanismSpec(args.mechanism, params)
 
@@ -515,17 +516,20 @@ def serve_command(argv: list[str]) -> int:
             min_window=args.batch_window / 8, max_window=args.batch_window * 8,
             min_capacity=max(1, args.cache_size // 4),
             max_capacity=args.cache_size * 4)
-        controller.bus.subscribe(
-            lambda event: print(
-                f"adapt: {event['knob']} {event['previous']} -> "
-                f"{event['value']} ({event['reason']})", flush=True))
 
     def ready(server) -> None:
         # Machine-readable: loadgen/CI scrape the port from this line.
         print(f"serving on http://{args.host}:{server.port}", flush=True)
 
+    async def adapt() -> None:
+        while True:
+            await asyncio.sleep(controller.interval)
+            for event in controller.step(controller.observe()):
+                print(f"adapt: {event['knob']} {event['previous']} -> "
+                      f"{event['value']} ({event['reason']})", flush=True)
+
     async def serve_main() -> None:
-        task = (asyncio.ensure_future(controller.run())
+        task = (asyncio.ensure_future(adapt())
                 if controller is not None else None)
         try:
             await run_server(service, args.host, args.port, ready=ready)

@@ -70,6 +70,28 @@ def _agent_key(agent) -> str:
     return str(agent)
 
 
+def profile_from_dict(raw: Mapping) -> dict[int, float]:
+    """A utility profile from its wire form ``{"<station>": utility}``.
+
+    Keys must be canonical station ids (``str(int(key)) == key``: ``"01"``
+    or ``" 1"`` would silently alias station 1) and utilities JSON numbers
+    (not strings, not booleans).  Raises :class:`ValueError`."""
+    profile = {}
+    for key, value in raw.items():
+        try:
+            station = int(key)
+        except (TypeError, ValueError):
+            station = None
+        if station is None or str(station) != key:
+            raise ValueError(f"station key {key!r} is not a canonical "
+                             "station id")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"utility of station {key} must be a number, "
+                             f"got {value!r}")
+        profile[station] = float(value)
+    return profile
+
+
 def result_to_dict(result: MechanismResult) -> dict:
     """Wire dict of a mechanism outcome (station-id agents only)."""
     power = None

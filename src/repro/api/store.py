@@ -46,7 +46,8 @@ from collections.abc import Callable
 from concurrent.futures import Future
 
 from repro.api.spec import ScenarioSpec
-from repro.observability import NULL_SPAN_RECORDER, MetricsRegistry, scenario_hash
+from repro.observability import MetricsRegistry, scenario_hash
+from repro.observability.tracing import NULL_SPAN
 
 
 def scenario_key(spec: ScenarioSpec) -> str:
@@ -87,18 +88,12 @@ class SessionStore:
 
     def __init__(self, capacity: int = 64, *,
                  builder: Callable[[ScenarioSpec], object],
-                 registry: MetricsRegistry | None = None,
-                 spans=None) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         capacity = int(capacity)
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._builder = builder
-        # Request-span recorder: cold builds are the expensive store path,
-        # so the owner of a build records a ``session_build`` span as a
-        # child of the requesting trace (lookups without a span context —
-        # substrate lookups made mid-execution — record nothing).
-        self.spans = spans if spans is not None else NULL_SPAN_RECORDER
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
         self._building: dict[str, Future] = {}
@@ -129,18 +124,20 @@ class SessionStore:
             outcome.inc()
 
     def get(self, spec: ScenarioSpec, *, key: str | None = None,
-            span_context=None) -> StoreEntry:
+            stages=None) -> StoreEntry:
         """The entry for ``spec`` — see :meth:`lookup`."""
-        return self.lookup(spec, key=key, span_context=span_context)[0]
+        return self.lookup(spec, key=key, stages=stages)[0]
 
     def lookup(self, spec: ScenarioSpec, *, key: str | None = None,
-               span_context=None) -> tuple[StoreEntry, bool]:
+               stages=None) -> tuple[StoreEntry, bool]:
         """``(entry, built)`` for ``spec``: the entry warm from the LRU,
         joined onto an in-flight build, or built here (exactly one builder
         per key); ``built`` is true only for the lookup that ran the
-        build.  ``span_context`` parents the cold path's
-        ``session_build`` span (hits and coalesced joins record nothing:
-        they are cheap)."""
+        build.  ``stages`` (the requesting
+        :class:`~repro.observability.StageRecorder`) receives the cold
+        path's ``session_build`` span; hits and coalesced joins record
+        nothing (they are cheap), and neither do lookups without one
+        (substrate lookups made mid-execution)."""
         if key is None:
             key = scenario_key(spec)
         with self._lock:
@@ -165,22 +162,15 @@ class SessionStore:
                 self._record(self._c_misses)
         if not owner:
             return future.result(), False
-        build_span = (self.spans.span(
-            "session_build", parent=span_context,
-            attributes={"scenario": scenario_hash(key)})
-            if span_context is not None else None)
         try:
-            entry = StoreEntry(self._builder(spec))
+            with (stages.span("session_build", scenario=scenario_hash(key))
+                  if stages is not None else NULL_SPAN):
+                entry = StoreEntry(self._builder(spec))
         except BaseException as exc:
-            if build_span is not None:
-                build_span.set("error", f"{type(exc).__name__}: {exc}")
-                build_span.finish(status="error")
             with self._lock:
                 self._building.pop(key, None)
             future.set_exception(exc)
             raise
-        if build_span is not None:
-            build_span.finish()
         with self._lock:
             evicted = 0
             if self.capacity > 0:

@@ -78,6 +78,11 @@ class CostSharingMechanism(abc.ABC):
         bad = {a: v for a, v in profile.items() if not 0 <= v < math.inf}
         if bad:
             raise ValueError(f"utilities must be finite and non-negative: {bad}")
+        # Finite bids can still sum past the float range, and every net
+        # worth and budget check runs on sums of them.
+        if not math.isfinite(sum(profile.values())):
+            raise ValueError("utilities must have a finite total "
+                             "(this profile's sum overflows)")
         return {a: float(profile[a]) for a in self.agents}
 
 

@@ -12,15 +12,16 @@ into.  It is stdlib-only and deliberately small:
   :func:`parse_exposition` scraper; a process-wide
   :func:`default_registry` plus injectable instances, and a no-op
   :class:`NullRegistry` for overhead baselines.
-* :mod:`~repro.observability.events` — a synchronous :class:`EventBus`
-  with bounded replayable history.
+* :mod:`~repro.observability.stages` — the per-request
+  :class:`StageRecorder`: each serving stage is timed once and fanned
+  out to the stage histogram, a child span and the request log.
 * :mod:`~repro.observability.logs` — :class:`RequestLogger` structured
   JSON request logs (one line per priced request) and
   :func:`scenario_hash` key digests.
 * :mod:`~repro.observability.adaptive` — the
   :class:`AdaptiveController` closing the loop from observed arrival
   and hit rates back onto the micro-batch window and LRU capacity,
-  with every decision event-logged for deterministic replay.
+  with its recent decisions kept for deterministic replay.
 * :mod:`~repro.observability.tracing` — distributed **request spans**
   (distinct from ``repro.traces`` workload traces): the
   :class:`Span`/:class:`SpanContext` model with W3C-traceparent-style
@@ -31,7 +32,6 @@ into.  It is stdlib-only and deliberately small:
 """
 
 from repro.observability.adaptive import AdaptiveController, AdaptObservation
-from repro.observability.events import EventBus
 from repro.observability.logs import RequestLogger, scenario_hash
 from repro.observability.metrics import (
     BATCH_OCCUPANCY_BUCKETS,
@@ -51,6 +51,7 @@ from repro.observability.metrics import (
     sample_total,
     stage_histogram,
 )
+from repro.observability.stages import StageRecorder
 from repro.observability.tracing import (
     NULL_SPAN_RECORDER,
     SPAN_ATTRIBUTE_KEYS,
@@ -71,7 +72,6 @@ __all__ = [
     "BATCH_OCCUPANCY_BUCKETS",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "EventBus",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -85,6 +85,7 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanRecorder",
+    "StageRecorder",
     "default_registry",
     "format_value",
     "load_span_logs",

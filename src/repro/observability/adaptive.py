@@ -20,9 +20,10 @@ for a sweep thrashes under a wide key distribution.  The
   ``capacity_cooldown`` ticks between moves so grow/shrink can never
   oscillate within a burst.
 
-Every decision is published on the :class:`~repro.observability.events.EventBus`
-and counted in the registry, so tests replay exact decision sequences
-from synthetic traces and operators can audit every knob move.  The
+Every decision is returned by :meth:`AdaptiveController.step`, kept in a
+bounded history (:meth:`AdaptiveController.decisions`) and counted in the
+registry, so tests replay exact decision sequences from synthetic traces
+and operators can audit every knob move.  The
 decision core, :meth:`AdaptiveController.step`, is a pure function of
 an :class:`AdaptObservation` plus controller state — no clocks, no
 randomness — which is what makes the convergence tests deterministic.
@@ -30,10 +31,9 @@ randomness — which is what makes the convergence tests deterministic.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+from collections import deque
 
-from repro.observability.events import EventBus
 from repro.observability.metrics import MetricsRegistry
 
 __all__ = ["AdaptObservation", "AdaptiveController"]
@@ -79,7 +79,6 @@ class AdaptiveController:
                  high_hit_rate: float = 0.9,
                  min_samples: int = 16,
                  capacity_cooldown: int = 4,
-                 bus: EventBus | None = None,
                  registry: MetricsRegistry | None = None) -> None:
         if band <= 1.0 or window_step <= 1.0:
             raise ValueError("band and window_step must exceed 1.0")
@@ -96,7 +95,7 @@ class AdaptiveController:
         self.high_hit_rate = float(high_hit_rate)
         self.min_samples = int(min_samples)
         self.capacity_cooldown = int(capacity_cooldown)
-        self.bus = bus if bus is not None else EventBus()
+        self._decisions: deque[dict] = deque(maxlen=256)
 
         if service is not None:
             batch_window = service.batcher.window
@@ -209,22 +208,15 @@ class AdaptiveController:
     def _decide(self, knob: str, previous, value, obs: AdaptObservation,
                 *, reason: str) -> dict:
         self._c_decisions.labels(knob=knob).inc()
-        return self.bus.publish(
-            "adapt", knob=knob, tick=self.tick, previous=previous,
-            value=value, reason=reason,
-            rate=round(obs.arrivals / obs.interval, 6) if obs.interval else 0.0,
-            hit_rate=round(obs.hits / obs.lookups, 6) if obs.lookups else None)
+        decision = {
+            "knob": knob, "tick": self.tick, "previous": previous,
+            "value": value, "reason": reason,
+            "rate": (round(obs.arrivals / obs.interval, 6)
+                     if obs.interval else 0.0),
+            "hit_rate": round(obs.hits / obs.lookups, 6) if obs.lookups else None}
+        self._decisions.append(decision)
+        return decision
 
     def decisions(self) -> list[dict]:
-        """Every knob decision made so far, oldest first."""
-        return self.bus.history("adapt")
-
-    # -- the live loop -------------------------------------------------------
-    async def run(self) -> None:
-        """Tick forever at ``interval``; cancel the task to stop."""
-        try:
-            while True:
-                await asyncio.sleep(self.interval)
-                self.step(self.observe())
-        except asyncio.CancelledError:
-            pass
+        """The most recent knob decisions (up to 256), oldest first."""
+        return list(self._decisions)

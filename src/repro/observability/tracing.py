@@ -229,16 +229,21 @@ class ActiveSpan:
         self.attributes[key] = value
         return self
 
-    def finish(self, status: str | None = None) -> None:
+    def finish(self, status: str | None = None, *,
+               duration: float | None = None) -> None:
+        """Stop the clock (or take ``duration``, measured by the caller)
+        and hand the finished span to the recorder."""
         if self._finished:
             return
         self._finished = True
         if status is not None:
             self.status = status
+        if duration is None:
+            duration = time.perf_counter() - self._t0
         self._recorder.record(Span(
             trace_id=self.context.trace_id, span_id=self.context.span_id,
             parent_id=self.parent_id, name=self.name, start=self.start,
-            duration=time.perf_counter() - self._t0, status=self.status,
+            duration=duration, status=self.status,
             attributes=self.attributes))
 
     def __enter__(self) -> "ActiveSpan":
@@ -269,7 +274,8 @@ class _NullSpan:
     def set(self, key: str, value) -> "_NullSpan":
         return self
 
-    def finish(self, status: str | None = None) -> None:
+    def finish(self, status: str | None = None, *,
+               duration: float | None = None) -> None:
         return None
 
     def __enter__(self) -> "_NullSpan":
@@ -364,8 +370,7 @@ class SpanRecorder:
 
     def observe(self, name: str, *, duration: float,
                 parent: SpanContext | None = None,
-                attributes: dict | None = None,
-                status: str = "ok") -> Span:
+                attributes: dict | None = None) -> Span:
         """Record a span whose duration was measured elsewhere (e.g. the
         queue leg, timed from enqueue to flush): the span ends *now* and
         started ``duration`` seconds ago."""
@@ -377,7 +382,7 @@ class SpanRecorder:
             trace_id=trace_id, span_id=self._ids(SPAN_ID_HEX),
             parent_id=parent_id, name=name,
             start=self._clock() - max(0.0, duration),
-            duration=max(0.0, duration), status=status,
+            duration=max(0.0, duration),
             attributes=_check_attributes(attributes))
         self.record(span)
         return span
@@ -457,7 +462,7 @@ class NullSpanRecorder:
         return NULL_SPAN
 
     def observe(self, name: str, *, duration: float, parent=None,
-                attributes=None, status: str = "ok") -> None:
+                attributes=None) -> None:
         return None
 
     def record(self, span) -> None:

@@ -22,12 +22,13 @@ still through the store's warm sessions).  ``max_batch`` bounds the
 collection — a full window flushes early, so the pending queue can never
 grow beyond one window's worth of admitted requests.
 
-Telemetry: counters, the flush-occupancy histogram, and the
-``queue``/``build``/``execute`` legs of the per-request stage histogram
-all publish into the store's registry (the service injects one shared
-registry, so ``/metrics`` sees the whole pipeline).  ``submit_timed``
-returns the per-request stage timings alongside the results — the
-server's request log consumes them.
+Telemetry: counters and the flush-occupancy histogram publish into the
+store's registry (the service injects one shared registry, so
+``/metrics`` sees the whole pipeline).  Each request's
+``queue``/``build``/``execute`` legs go to the
+:class:`~repro.observability.StageRecorder` it was submitted with, which
+fans them out to the stage histogram, the request's spans and its log
+line.
 """
 
 from __future__ import annotations
@@ -39,11 +40,15 @@ from concurrent.futures import Executor
 from repro.observability import (
     BATCH_OCCUPANCY_BUCKETS,
     NULL_SPAN_RECORDER,
+    StageRecorder,
     stage_histogram,
 )
 from repro.observability.tracing import SpanContext
 from repro.service.protocol import RunRequest
 from repro.service.state import SessionStore, StoreEntry
+
+# A submitted request: (request, its future, enqueue time, its stages).
+_Pending = tuple[RunRequest, asyncio.Future, float, StageRecorder]
 
 
 class MicroBatcher:
@@ -63,14 +68,12 @@ class MicroBatcher:
         self.store = store
         self.max_batch = int(max_batch)
         self._executor = executor
-        # Request-span recorder (tracing): each flush becomes one span
-        # (rooting its own trace — the requests it serves belong to
-        # *different* traces), and every request's queue/execute legs
-        # are recorded as children of that request's own span, linked
-        # to the flush via flush_trace_id/flush_span_id attributes.
+        # Request-span recorder (tracing): each flush becomes one span,
+        # rooting its own trace — the requests it serves belong to
+        # *different* traces.  Their execute spans link to it via
+        # flush_trace_id/flush_span_id attributes.
         self.spans = spans if spans is not None else NULL_SPAN_RECORDER
-        self._pending: list[tuple[RunRequest, asyncio.Future, float,
-                                  SpanContext | None]] = []
+        self._pending: list[_Pending] = []
         self._flush_handle: asyncio.TimerHandle | None = None
         self._tasks: set[asyncio.Task] = set()
         # -- telemetry (in the store's registry, one shared lock) -----------
@@ -107,35 +110,18 @@ class MicroBatcher:
     def requests(self) -> int:
         return int(self._c_requests.value)
 
-    @property
-    def batches(self) -> int:
-        return int(self._c_flushes.value)
-
-    @property
-    def batched_requests(self) -> int:
-        return int(self._c_batched.value)
-
-    @property
-    def max_batch_size(self) -> int:
-        return int(self._g_max_seen.value)
-
     # -- submission ----------------------------------------------------------
-    async def submit(self, request: RunRequest) -> list:
+    async def submit(self, request: RunRequest,
+                     stages: StageRecorder | None = None) -> list:
         """Price one request; resolves to its list of
-        :class:`~repro.mechanism.base.MechanismResult`."""
-        results, _ = await self.submit_timed(request)
-        return results
-
-    async def submit_timed(self, request: RunRequest,
-                           context: SpanContext | None = None
-                           ) -> tuple[list, dict]:
-        """Like :meth:`submit`, but resolves to ``(results, stages)``
-        where ``stages`` carries the request's queue/build/execute leg
-        timings in seconds.  ``context`` is the request span to parent
-        this request's queue/execute spans under (``None``: untraced)."""
+        :class:`~repro.mechanism.base.MechanismResult`.  ``stages``
+        (default: an untraced recorder) receives the request's queue,
+        build and execute legs."""
+        if stages is None:
+            stages = StageRecorder(self._h_stage)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((request, future, time.perf_counter(), context))
+        self._pending.append((request, future, time.perf_counter(), stages))
         self._c_requests.inc()
         if self._window <= 0.0 or len(self._pending) >= self.max_batch:
             self._flush()
@@ -146,10 +132,6 @@ class MicroBatcher:
     def pending(self) -> int:
         """Requests collected but not yet flushed."""
         return len(self._pending)
-
-    def in_flight(self) -> int:
-        """Requests handed to the executor whose results are still due."""
-        return sum(task._repro_size for task in self._tasks)  # type: ignore[attr-defined]
 
     # -- flushing ------------------------------------------------------------
     def _flush(self) -> None:
@@ -165,47 +147,34 @@ class MicroBatcher:
             self._h_occupancy.observe(len(batch))
             if len(batch) > 1:
                 self._c_batched.inc(len(batch))
-        groups: dict[str, list[tuple[RunRequest, asyncio.Future, float,
-                                     SpanContext | None]]] = {}
+        groups: dict[str, list[_Pending]] = {}
         for item in batch:
             groups.setdefault(item[0].key, []).append(item)
         # One flush span covers the whole flush (all its scenario groups);
-        # it finishes when the last group's work completes.  It roots its
-        # own trace — the requests it serves each live in their own —
-        # and the per-request execute spans link back to it.
-        flush_span = (self.spans.span("flush",
-                                      attributes={"requests": len(batch)})
-                      if self.spans.enabled else None)
+        # it finishes when the last group's work completes.
+        flush_span = self.spans.span("flush",
+                                     attributes={"requests": len(batch)})
         remaining = [len(groups)]
 
         def group_done(_task) -> None:
             remaining[0] -= 1
-            if remaining[0] == 0 and flush_span is not None:
+            if remaining[0] == 0:
                 flush_span.finish()
 
         for group in groups.values():
             task = asyncio.ensure_future(self._execute_group(
-                group,
-                flush_context=(flush_span.context
-                               if flush_span is not None else None),
-                batch_size=len(batch)))
-            task._repro_size = len(group)  # type: ignore[attr-defined]
+                group, flush_span.context, len(batch)))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
             task.add_done_callback(group_done)
 
-    async def _execute_group(
-            self,
-            group: list[tuple[RunRequest, asyncio.Future, float,
-                              SpanContext | None]],
-            *, flush_context: SpanContext | None = None,
-            batch_size: int = 1) -> None:
+    async def _execute_group(self, group: list[_Pending],
+                             flush_context: SpanContext | None,
+                             batch_size: int) -> None:
         loop = asyncio.get_running_loop()
-        requests = [(request, enqueued, context)
-                    for request, _, enqueued, context in group]
         try:
             outcomes = await loop.run_in_executor(
-                self._executor, self._run_group, requests, flush_context,
+                self._executor, self._run_group, group, flush_context,
                 batch_size)
         except BaseException as exc:  # store build failure: fail the group
             for _, future, _, _ in group:
@@ -220,59 +189,34 @@ class MicroBatcher:
             else:
                 future.set_result(outcome)
 
-    def _run_group(self, requests: list[tuple[RunRequest, float,
-                                              SpanContext | None]],
-                   flush_context: SpanContext | None = None,
-                   batch_size: int = 1) -> list:
+    def _run_group(self, group: list[_Pending],
+                   flush_context: SpanContext | None,
+                   batch_size: int) -> list:
         """Synchronous worker body: one store lookup for the whole group,
         then every request priced on the shared session.  Per-request
         failures (e.g. a profile naming stray agents) stay per-request —
         they must not poison the rest of the batch."""
         started = time.perf_counter()
-        first, first_context = requests[0][0], requests[0][2]
-        # The group-shared store lookup becomes one ``build`` span in the
+        first, _, _, first_stages = group[0]
+        # The group-shared store lookup is one ``build`` leg, timed in the
         # *first* request's trace (it is shared work — duplicating it
-        # into every trace would overcount the critical path); a cold
-        # miss nests its ``session_build`` span under this one.
-        build_span = (self.spans.span("build", parent=first_context)
-                      if first_context is not None else None)
-        entry = self.store.get(
-            first.scenario, key=first.key,
-            span_context=(build_span.context
-                          if build_span is not None else None))
-        build = time.perf_counter() - started
-        if build_span is not None:
-            build_span.finish()
-        self._h_stage.labels(stage="build").observe(build)
+        # into every trace would overcount the critical path) and copied
+        # into every request's log line.
+        with first_stages.stage("build") as build:
+            entry = self.store.get(first.scenario, key=first.key,
+                                   stages=build)
         link = ({"flush_trace_id": flush_context.trace_id,
                  "flush_span_id": flush_context.span_id}
                 if flush_context is not None else {})
         outcomes: list = []
-        for request, enqueued, context in requests:
-            queue = max(0.0, started - enqueued)
-            self._h_stage.labels(stage="queue").observe(queue)
-            if context is not None:
-                self.spans.observe("queue", duration=queue, parent=context)
-            t0 = time.perf_counter()
+        for request, _, enqueued, stages in group:
+            stages.seconds["build"] = first_stages.seconds["build"]
+            stages.record("queue", max(0.0, started - enqueued))
             try:
-                results = self._run_one(entry, request)
+                with stages.stage("execute", batch_size=batch_size, **link):
+                    outcomes.append(self._run_one(entry, request))
             except Exception as exc:
-                if context is not None:
-                    self.spans.observe(
-                        "execute", duration=time.perf_counter() - t0,
-                        parent=context, status="error",
-                        attributes={**link, "batch_size": batch_size,
-                                    "error": f"{type(exc).__name__}: {exc}"})
                 outcomes.append(exc)
-                continue
-            execute = time.perf_counter() - t0
-            self._h_stage.labels(stage="execute").observe(execute)
-            if context is not None:
-                self.spans.observe(
-                    "execute", duration=execute, parent=context,
-                    attributes={**link, "batch_size": batch_size})
-            outcomes.append((results, {
-                "queue": queue, "build": build, "execute": execute}))
         return outcomes
 
     @staticmethod

@@ -60,11 +60,13 @@ from repro.observability import (
     merge_expositions,
     relabel_exposition,
 )
+from repro.observability.tracing import NULL_SPAN
 from repro.service.protocol import (
     PROTOCOL_SCHEMA,
     TRACE_ID_HEADER,
     TRACEPARENT_HEADER,
     ProtocolError,
+    answer_traced,
     error_payload,
     parse_batch_request,
     parse_body,
@@ -419,31 +421,30 @@ class FleetRouter:
         self._c_requests.labels(
             method=method,
             path=path if path in _KNOWN_PATHS else "other").inc()
-        span = None
-        if self.spans.enabled and path in ("/v1/run", "/v1/batch"):
-            span = self.spans.span(
-                "request", parent=trace_context,
-                attributes={"method": method, "path": path,
-                            "shard": "router"})
-        try:
-            status, payload, headers = await self._route(method, path, body,
-                                                         span=span)
-        except ProtocolError as exc:
-            headers = {"Retry-After": "1"} if exc.status in (429, 503) else {}
-            status, payload = exc.status, error_payload(exc.message)
-        except Exception as exc:
-            status, payload, headers = 500, error_payload(
-                f"internal error: {type(exc).__name__}: {exc}"), {}
-        if span is not None:
-            span.set("status_code", status)
-            span.finish(status="ok" if status < 500 else "error")
-            headers = {**headers, TRACE_ID_HEADER: span.trace_id}
-        self.responses[status] = self.responses.get(status, 0) + 1
-        self._c_responses.labels(code=str(status)).inc()
+        status, payload, headers = await answer_traced(
+            self.spans, method, path, trace_context,
+            lambda span: self._answer(method, path, body, span),
+            shard="router")
+        self.count_response(status)
         return status, payload, headers
 
+    def count_response(self, status: int) -> None:
+        self.responses[status] = self.responses.get(status, 0) + 1
+        self._c_responses.labels(code=str(status)).inc()
+
+    async def _answer(self, method: str, path: str, body: bytes,
+                      span) -> tuple[int, dict | str, dict]:
+        try:
+            return await self._route(method, path, body, span)
+        except ProtocolError as exc:
+            headers = {"Retry-After": "1"} if exc.status in (429, 503) else {}
+            return exc.status, error_payload(exc.message), headers
+        except Exception as exc:
+            return 500, error_payload(
+                f"internal error: {type(exc).__name__}: {exc}"), {}
+
     async def _route(self, method: str, path: str, body: bytes,
-                     span=None) -> tuple[int, dict | str, dict]:
+                     span) -> tuple[int, dict | str, dict]:
         if path == "/v1/healthz" and method == "GET":
             return 200, await self.health_payload(), {}
         if path == "/v1/stats" and method == "GET":
@@ -469,7 +470,7 @@ class FleetRouter:
                     'drain body must be {"shard": "<shard id>"}')
             return 200, await self.drain_worker(data["shard"]), {}
         if path == "/v1/batch" and method == "POST":
-            return await self._route_batch(body, span=span)
+            return await self._route_batch(body, span)
         if path == "/v1/run" and method == "POST":
             return await self._forward(
                 self._live_worker(scenario_route_key(body)),
@@ -495,33 +496,30 @@ class FleetRouter:
             worker._end()
 
     async def _forward(self, worker: FleetWorker, method: str, path: str,
-                       body: bytes, *, span=None) -> tuple[int, str, dict]:
+                       body: bytes, *, span=NULL_SPAN) -> tuple[int, str, dict]:
         # With tracing on, each forward is its own child span and its
         # context rides the traceparent header — the worker's request
         # span becomes a child of this forward span, one trace across
         # the process boundary.
-        forward_span = None
-        request_headers = None
-        if span is not None and span.context is not None:
-            forward_span = self.spans.span("forward", parent=span.context,
-                                           attributes={"shard": worker.shard})
-            request_headers = {
-                TRACEPARENT_HEADER: forward_span.context.traceparent()}
+        forward_span = (self.spans.span("forward", parent=span.context,
+                                        attributes={"shard": worker.shard})
+                        if span.context is not None else NULL_SPAN)
+        request_headers = (
+            {TRACEPARENT_HEADER: forward_span.context.traceparent()}
+            if forward_span.context is not None else None)
         try:
             status, headers, raw = await self._proxy(worker, method, path,
                                                      body, request_headers)
         except (OSError, ConnectionError, asyncio.IncompleteReadError,
                 asyncio.TimeoutError) as exc:
-            if forward_span is not None:
-                forward_span.set("error", f"{type(exc).__name__}: {exc}")
-                forward_span.finish(status="error")
+            forward_span.set("error", f"{type(exc).__name__}: {exc}")
+            forward_span.finish(status="error")
             self._c_proxy_errors.inc()
             raise ProtocolError(
                 f"shard {worker.shard!r} unreachable: "
                 f"{type(exc).__name__}: {exc}", status=503) from exc
-        if forward_span is not None:
-            forward_span.set("status_code", status)
-            forward_span.finish()
+        forward_span.set("status_code", status)
+        forward_span.finish()
         extra = {"X-Repro-Shard": worker.shard}
         for wire_name, out_name in _FORWARDED_HEADERS.items():
             if wire_name in headers:
@@ -529,7 +527,7 @@ class FleetRouter:
         return status, raw.decode("utf-8"), extra
 
     async def _route_batch(self, body: bytes,
-                           span=None) -> tuple[int, dict | str, dict]:
+                           span) -> tuple[int, dict | str, dict]:
         """Split a batch by shard and reassemble in request order.
 
         The router runs the same ``parse_batch_request`` the worker

@@ -32,9 +32,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.api.registry import available_mechanisms
-from repro.api.serialize import result_to_dict, summarize_results
+from repro.api.serialize import profile_from_dict, result_to_dict, summarize_results
 from repro.api.spec import MechanismSpec, ScenarioSpec
 from repro.dynamic.spec import DynamicScenarioSpec
+from repro.observability.tracing import NULL_SPAN
 from repro.service.state import scenario_key
 from repro.traces.spec import MultiGroupScenarioSpec, TraceScenarioSpec
 
@@ -51,6 +52,9 @@ BATCH_FIELDS = ("requests",)
 # response *bodies* stay bit-identical with tracing on or off.
 TRACEPARENT_HEADER = "traceparent"
 TRACE_ID_HEADER = "X-Repro-Trace-Id"
+
+# The routes that price, hence the ones a request span narrates.
+PRICED_PATHS = ("/v1/run", "/v1/batch")
 
 
 class ProtocolError(Exception):
@@ -165,8 +169,8 @@ def _parse_profiles(raw: object) -> tuple:
             raise ProtocolError(
                 f"profile #{idx} must be a JSON object {{station: utility}}")
         try:
-            profiles.append({int(a): float(v) for a, v in profile.items()})
-        except (TypeError, ValueError) as exc:
+            profiles.append(profile_from_dict(profile))
+        except ValueError as exc:
             raise ProtocolError(
                 f"profile #{idx} must map station ids to numeric utilities: {exc}"
             ) from exc
@@ -279,3 +283,22 @@ def run_payload(request: RunRequest, results: Sequence) -> dict:
 
 def error_payload(message: str) -> dict:
     return {"schema": PROTOCOL_SCHEMA, "error": message}
+
+
+async def answer_traced(spans, method: str, path: str, trace_context,
+                        answer, **attributes) -> tuple[int, dict | str, dict]:
+    """``await answer(span)`` under the ``request`` span of a priced
+    route (a no-op span elsewhere or untraced), continuing
+    ``trace_context``; the span takes the status code (``error`` on a
+    5xx) and the answer gains ``X-Repro-Trace-Id``.  The service and the
+    fleet router share this lifecycle."""
+    span = (spans.span("request", parent=trace_context,
+                       attributes={"method": method, "path": path,
+                                   **attributes})
+            if path in PRICED_PATHS else NULL_SPAN)
+    status, payload, headers = await answer(span)
+    if span.context is not None:
+        span.set("status_code", status)
+        span.finish(status="ok" if status < 500 else "error")
+        headers = {**headers, TRACE_ID_HEADER: span.trace_id}
+    return status, payload, headers

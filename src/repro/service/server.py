@@ -45,22 +45,24 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 from repro.observability import (
     NULL_SPAN_RECORDER,
     MetricsRegistry,
     RequestLogger,
+    StageRecorder,
     parse_traceparent,
     scenario_hash,
     stage_histogram,
 )
 from repro.service.batching import MicroBatcher
 from repro.service.protocol import (
+    PRICED_PATHS,
     PROTOCOL_SCHEMA,
     TRACE_ID_HEADER,
     TRACEPARENT_HEADER,
     ProtocolError,
+    answer_traced,
     error_payload,
     parse_batch_request,
     parse_body,
@@ -100,18 +102,18 @@ class CostSharingService:
         # and CI can verify which worker answered; never in run payloads
         # (those stay bit-identical to the single-process service).
         self.shard = shard
+        self._shard_field = {"shard": shard} if shard is not None else {}
         self.registry = registry if registry is not None else MetricsRegistry()
         self.request_log = request_log
         # Request-span recorder (tracing).  Disabled by default — the
         # null recorder makes every span operation a no-op — and shared
-        # with the store (session_build spans) and batcher (flush/queue/
-        # execute spans) so one request's legs land in one trace.
+        # with each request's StageRecorder and the batcher (flush
+        # spans), so one request's legs land in one trace.
         self.spans = spans if spans is not None else NULL_SPAN_RECORDER
         # Injected recorders were built before this registry existed —
         # re-home their export counters so /metrics scrapes them.
         self.spans.use_registry(self.registry)
-        self.store = SessionStore(capacity=cache_size, registry=self.registry,
-                                  spans=self.spans)
+        self.store = SessionStore(capacity=cache_size, registry=self.registry)
         self.batcher = MicroBatcher(self.store, window=batch_window,
                                     max_batch=max_batch, executor=executor,
                                     spans=self.spans)
@@ -160,47 +162,45 @@ class CostSharingService:
         self._c_requests.labels(
             method=method,
             path=path if path in _KNOWN_PATHS else "other").inc()
-        span = None
-        if self.spans.enabled and path in ("/v1/run", "/v1/batch"):
-            span = self.spans.span(
-                "request", parent=trace_context,
-                attributes={"method": method, "path": path,
-                            **({"shard": self.shard}
-                               if self.shard is not None else {})})
+        status, payload, headers = await answer_traced(
+            self.spans, method, path, trace_context,
+            lambda span: self._answer(method, path, body, span),
+            **self._shard_field)
+        self.count_response(status)
+        if status >= 400 and self.request_log is not None:
+            trace_id = headers.get(TRACE_ID_HEADER)
+            self.request_log.log(
+                id=self.request_log.next_id(), kind="error", method=method,
+                path=path, status=status, **self._shard_field,
+                **({"trace_id": trace_id} if trace_id is not None else {}),
+                error=payload.get("error") if isinstance(payload, dict) else None)
+        return status, payload, headers
+
+    def count_response(self, status: int) -> None:
+        self.responses[status] = self.responses.get(status, 0) + 1
+        self._c_responses.labels(code=str(status)).inc()
+
+    async def _answer(self, method: str, path: str, body: bytes,
+                      span) -> tuple[int, dict | str, dict]:
         try:
-            status, payload, headers = await self._route(method, path, body,
-                                                         span=span)
+            return await self._route(method, path, body, span)
         except ProtocolError as exc:
             headers = ({"Retry-After": f"{self.retry_after:g}"}
                        if exc.status == 429 else {})
-            status, payload = exc.status, error_payload(exc.message)
+            return exc.status, error_payload(exc.message), headers
         except (ValueError, TypeError, KeyError) as exc:
             # Runtime validation the parser cannot see (stray agents in a
             # profile, negative utilities, ...) is still the client's
             # error, not a server fault.
-            status, payload, headers = 400, error_payload(str(exc)), {}
+            return 400, error_payload(str(exc)), {}
         except Exception as exc:
             # Anything else is a server fault — answer 500 rather than
             # vanish mid-connection, and count it.
-            status, payload, headers = 500, error_payload(
+            return 500, error_payload(
                 f"internal error: {type(exc).__name__}: {exc}"), {}
-        if span is not None:
-            span.set("status_code", status)
-            span.finish(status="ok" if status < 500 else "error")
-            headers = {**headers, TRACE_ID_HEADER: span.trace_id}
-        self.responses[status] = self.responses.get(status, 0) + 1
-        self._c_responses.labels(code=str(status)).inc()
-        if status >= 400 and self.request_log is not None:
-            self.request_log.log(
-                id=self.request_log.next_id(), kind="error", method=method,
-                path=path, status=status,
-                **({"shard": self.shard} if self.shard is not None else {}),
-                **({"trace_id": span.trace_id} if span is not None else {}),
-                error=payload.get("error") if isinstance(payload, dict) else None)
-        return status, payload, headers
 
     async def _route(self, method: str, path: str, body: bytes,
-                     span=None) -> tuple[int, dict | str, dict]:
+                     span) -> tuple[int, dict | str, dict]:
         if path == "/v1/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -214,80 +214,64 @@ class CostSharingService:
                 return self._method_not_allowed("GET")
             return 200, self.registry.render(), {
                 "Content-Type": METRICS_CONTENT_TYPE}
-        context = span.context if span is not None else None
-        if path == "/v1/run":
+        if path in PRICED_PATHS:
             if method != "POST":
                 return self._method_not_allowed("POST")
-            t0 = time.perf_counter()
-            request = parse_run_request(parse_body(body))
-            parse_s = time.perf_counter() - t0
-            self._h_stage.labels(stage="parse").observe(parse_s)
-            if context is not None:
-                self.spans.observe("parse", duration=parse_s, parent=context)
-                self._annotate_span(span, request)
-            async with self._admission(1):
-                results, stages = await self.batcher.submit_timed(
-                    request, context=context)
-            t1 = time.perf_counter()
-            payload = run_payload(request, results)
-            serialize_s = time.perf_counter() - t1
-            self._h_stage.labels(stage="serialize").observe(serialize_s)
-            if context is not None:
-                self.spans.observe("serialize", duration=serialize_s,
-                                   parent=context)
-            self._log_run(request, 200,
-                          {"parse": parse_s, **stages, "serialize": serialize_s},
-                          trace_id=span.trace_id if span is not None else None)
-            return 200, payload, {}
-        if path == "/v1/batch":
-            if method != "POST":
-                return self._method_not_allowed("POST")
-            t0 = time.perf_counter()
-            requests = parse_batch_request(
-                parse_body(body), max_requests=self.max_batch_requests)
-            parse_s = time.perf_counter() - t0
-            self._h_stage.labels(stage="parse").observe(parse_s)
-            if context is not None:
-                self.spans.observe("parse", duration=parse_s, parent=context)
-            async with self._admission(len(requests)):
-                outcomes = await asyncio.gather(
-                    *(self.batcher.submit_timed(r, context=context)
-                      for r in requests),
-                    return_exceptions=True)
-            entries = []
-            trace_id = span.trace_id if span is not None else None
-            serialize_total = 0.0
-            for index, (request, outcome) in enumerate(zip(requests, outcomes)):
-                if isinstance(outcome, BaseException):
-                    if not isinstance(outcome, (ProtocolError, ValueError,
-                                                TypeError, KeyError)):
-                        raise outcome
-                    message = getattr(outcome, "message", None) or str(outcome)
-                    entries.append({"status": 400, "body": error_payload(message)})
-                    self._log_run(request, 400, {"parse": parse_s},
-                                  batch_index=index, error=message,
-                                  trace_id=trace_id)
-                else:
-                    results, stages = outcome
-                    t1 = time.perf_counter()
-                    entry = {"status": 200, "body": run_payload(request, results)}
-                    serialize_s = time.perf_counter() - t1
-                    serialize_total += serialize_s
-                    self._h_stage.labels(stage="serialize").observe(serialize_s)
-                    entries.append(entry)
-                    self._log_run(request, 200,
-                                  {"parse": parse_s, **stages,
-                                   "serialize": serialize_s}, batch_index=index,
-                                  trace_id=trace_id)
-            if context is not None:
-                self.spans.observe("serialize", duration=serialize_total,
-                                   parent=context)
-            payload = {"schema": PROTOCOL_SCHEMA, "count": len(entries),
-                       "responses": entries}
-            return 200, payload, {}
+            return await self._price(path, body, span)
         return 404, error_payload(
             f"no such endpoint {path!r} (try /v1/run, /v1/batch, "
             "/v1/healthz, /v1/stats, /metrics)"), {}
+
+    async def _price(self, path: str, body: bytes,
+                     span) -> tuple[int, dict, dict]:
+        """The priced routes.  One :class:`StageRecorder` per request
+        times its stages; a batch forks one per entry, sharing the parse
+        leg and the request span."""
+        stages = StageRecorder(self._h_stage, self.spans, span.context)
+        with stages.stage("parse"):
+            data = parse_body(body)
+            requests = ([parse_run_request(data)] if path == "/v1/run" else
+                        parse_batch_request(
+                            data, max_requests=self.max_batch_requests))
+        if path == "/v1/run":
+            request, = requests
+            self._annotate_span(span, request)
+            async with self._admission(1):
+                results = await self.batcher.submit(request, stages)
+            return 200, self._serialize(request, results, stages), {}
+        forks = [stages.fork() for _ in requests]
+        async with self._admission(len(requests)):
+            outcomes = await asyncio.gather(
+                *(self.batcher.submit(r, s) for r, s in zip(requests, forks)),
+                return_exceptions=True)
+        entries = []
+        for index, (request, fork, outcome) in enumerate(
+                zip(requests, forks, outcomes)):
+            if isinstance(outcome, BaseException):
+                if not isinstance(outcome, (ProtocolError, ValueError,
+                                            TypeError, KeyError)):
+                    raise outcome
+                message = getattr(outcome, "message", None) or str(outcome)
+                entries.append({"status": 400, "body": error_payload(message)})
+                self._log_run(request, 400, stages, batch_index=index,
+                              error=message)
+            else:
+                entries.append({"status": 200, "body": self._serialize(
+                    request, outcome, fork, traced=False, batch_index=index)})
+        # The batch narrates one serialize span: its entries' sum.
+        stages.spans.observe(
+            "serialize", parent=stages.context,
+            duration=sum(f.seconds.get("serialize", 0.0) for f in forks))
+        return 200, {"schema": PROTOCOL_SCHEMA, "count": len(entries),
+                     "responses": entries}, {}
+
+    def _serialize(self, request, results, stages: StageRecorder, *,
+                   traced: bool = True, **fields: object) -> dict:
+        """The serialize leg of one priced request, then its log line."""
+        with stages.stage("serialize", traced=traced):
+            payload = run_payload(request, results)
+        self._log_run(request, 200, stages, **fields)
+        return payload
 
     def _method_not_allowed(self, allowed: str) -> tuple[int, dict, dict]:
         return 405, error_payload(f"method not allowed (use {allowed})"), {
@@ -303,10 +287,11 @@ class CostSharingService:
         if request.group is not None:
             span.set("group", request.group)
 
-    def _log_run(self, request, status: int, stages: dict,
-                 trace_id: str | None = None, **fields: object) -> None:
+    def _log_run(self, request, status: int, stages: StageRecorder,
+                 **fields: object) -> None:
         if self.request_log is None:
             return
+        trace_id = stages.trace_id
         self.request_log.log(
             id=self.request_log.next_id(), kind="run",
             scenario=scenario_hash(request.key),
@@ -317,12 +302,9 @@ class CostSharingService:
             # The worker's shard label and the request's trace id make
             # fleet log joins lossless: grep one trace id across the
             # span logs and every shard's request log.
-            **({"shard": self.shard} if self.shard is not None else {}),
+            **self._shard_field,
             **({"trace_id": trace_id} if trace_id is not None else {}),
-            status=status,
-            stages_ms={name: round(seconds * 1e3, 3)
-                       for name, seconds in stages.items()},
-            **fields)
+            status=status, stages_ms=stages.ms(), **fields)
 
     # -- admission control ---------------------------------------------------
     def _admission(self, cost: int) -> "_Admission":
@@ -356,7 +338,7 @@ class CostSharingService:
             "repro_trace_substrate_shared_total")
         return {
             "schema": PROTOCOL_SCHEMA,
-            **({"shard": self.shard} if self.shard is not None else {}),
+            **self._shard_field,
             "store": store,
             "batcher": self.batcher.stats(),
             "http": {
@@ -579,7 +561,17 @@ class ServiceServer:
             body = payload.encode("utf-8")
             content_type = extra.pop("Content-Type", "text/plain; charset=utf-8")
         else:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            try:
+                body = json.dumps(payload, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                # A non-finite float would put NaN/Infinity, which is not
+                # JSON, on the wire: answer a counted 500 instead.
+                status = 500
+                self.service.count_response(status)
+                body = json.dumps(error_payload(
+                    f"internal error: response is not strict JSON: {exc}"),
+                    sort_keys=True)
+            body = (body + "\n").encode("utf-8")
             content_type = "application/json"
         reason = HTTP_REASONS.get(status, "Unknown")
         lines = [

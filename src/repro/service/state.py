@@ -59,9 +59,8 @@ class SessionStore(api_store.SessionStore):
     """
 
     def __init__(self, capacity: int = 64, *,
-                 registry: MetricsRegistry | None = None, spans=None) -> None:
-        super().__init__(capacity, builder=self._build, registry=registry,
-                         spans=spans)
+                 registry: MetricsRegistry | None = None) -> None:
+        super().__init__(capacity, builder=self._build, registry=registry)
         self._session_registry = registry
 
     def _build(self, spec: ScenarioSpec):

@@ -153,3 +153,29 @@ class TestRunSubcommand:
     def test_experiment_mode_still_works(self, capsys):
         assert main(["A3"]) == 0
         assert "EXP-A3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [{"01": 0.0}, {"1": "50"}, {"1": True}],
+                         ids=["non-canonical-key", "string-utility",
+                              "bool-utility"])
+def test_lax_profiles_exit_2(wired, capsys, extra):
+    base, spec, _ = wired
+    profile = {str(a): 50.0 for a in spec.agents()}
+    profile.update(extra)
+    (base / "lax.json").write_text(json.dumps(profile))
+    assert main(["run", "--scenario", str(base / "spec.json"),
+                 "--mechanism", "jv",
+                 "--profiles", str(base / "lax.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_overflowing_bids_exit_2(wired, capsys):
+    base, spec, _ = wired
+    (base / "huge.json").write_text(
+        json.dumps({str(a): 1e308 for a in spec.agents()}))
+    assert main(["run", "--scenario", str(base / "spec.json"),
+                 "--mechanism", "tree-mc",
+                 "--profiles", str(base / "huge.json")]) == 2
+    assert "finite total" in capsys.readouterr().err
+

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.observability import AdaptiveController, AdaptObservation, EventBus, MetricsRegistry
+from repro.observability import AdaptiveController, AdaptObservation, MetricsRegistry
 
 
 def _obs(arrivals: int, *, interval: float = 0.5, lookups: int = 0,
@@ -155,11 +155,10 @@ def test_capacity_needs_evidence_and_real_pressure():
 
 # -- exact decision-sequence replay ------------------------------------------
 def test_synthetic_trace_replays_an_exact_decision_sequence():
-    bus = EventBus()
     controller = _controller(batch_window=0.004, cache_capacity=8,
                              min_window=0.001, max_window=0.016,
                              window_step=2.0, capacity_cooldown=1,
-                             target_occupancy=4.0, bus=bus)
+                             target_occupancy=4.0)
     trace = [
         _obs(8),                                             # rate 16: grow window
         _obs(8),                                             # grow again, hits max
@@ -177,7 +176,6 @@ def test_synthetic_trace_replays_an_exact_decision_sequence():
         (5, "batch_window", 0.016, 0.008, "burst"),
         (5, "store_capacity", 16, 8, "idle over-provision"),
     ]
-    assert controller.decisions() == bus.history("adapt")
 
 
 def test_decisions_and_ticks_are_counted_in_the_registry():

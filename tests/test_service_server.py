@@ -457,3 +457,71 @@ def test_non_finite_bids_are_400_with_strict_json_bodies():
             await server.close()
 
     run(go())
+
+
+def test_overflowing_finite_bids_are_400_with_strict_json_bodies():
+    """Bids of 1e308 on every station are finite, but their total is not:
+    every registered mechanism answers 400 (not a 200 whose net worth is
+    ``Infinity`` and whose receiver set is arbitrary)."""
+    spec = ScenarioSpec.from_random(n=8, dim=1, alpha=2.0, seed=3, side=5.0)
+    profiles = [{str(a): 1e308 for a in spec.agents()}]
+
+    def body(mechanism: str) -> bytes:
+        return json.dumps({"scenario": spec.to_dict(), "mechanism": mechanism,
+                           "profiles": profiles}).encode()
+
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            for mechanism in available_mechanisms():
+                status, raw = await _raw_body(server.port, body(mechanism))
+                assert status == 400, (mechanism, raw)
+                assert "finite total" in _strict_json(raw)["error"]
+        finally:
+            await server.close()
+
+    run(go())
+
+
+def test_lax_profiles_are_rejected():
+    """A non-canonical station key would alias another station ("01" is
+    station 1), and a string or boolean is not a numeric utility."""
+    spec = _spec(8)
+    first = str(spec.agents()[0])
+
+    async def go():
+        client = _client()
+        for extra in ({"0" + first: 0.0}, {first: "50"}, {first: True}):
+            profile = {str(a): 50.0 for a in spec.agents()}
+            profile.update(extra)
+            status, payload = await client.request("POST", "/v1/run", {
+                "scenario": spec.to_dict(), "mechanism": "jv",
+                "profiles": [profile]})
+            assert status == 400, (extra, payload)
+            assert "profile #0" in payload["error"]
+
+    run(go())
+
+
+def test_non_json_payload_becomes_a_counted_500():
+    """The encoder backstop: a payload holding a non-finite float never
+    reaches the wire as ``NaN``/``Infinity``."""
+    service = CostSharingService(batch_window=0.0)
+
+    async def nan_payload(method, path, body=b"", **_):
+        return 200, {"value": float("nan")}, {}
+
+    service.dispatch = nan_payload
+
+    async def go():
+        server = await ServiceServer(service, port=0).start()
+        try:
+            return await _raw_body(server.port, b"{}")
+        finally:
+            await server.close()
+
+    status, raw = run(go())
+    assert status == 500
+    assert "not strict JSON" in _strict_json(raw)["error"]
+    assert service.responses == {500: 1}

@@ -11,11 +11,12 @@ bit-identical with tracing on, off, or propagated.
 from __future__ import annotations
 
 import asyncio
+import io
 import itertools
 import json
 
 from repro.api import ScenarioSpec
-from repro.observability import SpanRecorder
+from repro.observability import MetricsRegistry, RequestLogger, SpanRecorder
 from repro.observability.tracing import parse_traceparent
 from repro.service import CostSharingService
 from repro.service.protocol import TRACE_ID_HEADER, TRACEPARENT_HEADER
@@ -191,3 +192,44 @@ def test_responses_bit_identical_with_tracing_on_off_and_propagated():
                         == json.dumps(expected[1], sort_keys=True))
 
     asyncio.run(go())
+
+
+STAGES = ("parse", "queue", "build", "execute", "serialize")
+
+
+def _logged_run(spans=None):
+    """One cold jv /v1/run with a request log and a private registry;
+    returns (service, log line, stage histogram sums in ms)."""
+    stream = io.StringIO()
+    registry = MetricsRegistry()
+    service = CostSharingService(batch_window=0.0, registry=registry,
+                                 request_log=RequestLogger(stream),
+                                 spans=spans)
+    (status, _, _), = dispatch(service, ("POST", "/v1/run", _body(_spec(9))))
+    assert status == 200
+    line, = (json.loads(raw) for raw in stream.getvalue().splitlines())
+    sums = {series["labels"]["stage"]: round(series["sum"] * 1e3, 3)
+            for series in registry.snapshot()["repro_stage_seconds"]["series"]}
+    return service, line, sums
+
+
+def test_every_stage_reads_the_same_duration_in_all_three_sinks():
+    spans = SpanRecorder(ids=seq_ids())
+    _, line, sums = _logged_run(spans)
+    durations = {span.name: span.to_dict()["duration_ms"]
+                 for span in spans.recent() if span.name in STAGES}
+    assert set(durations) == set(line["stages_ms"]) == set(sums) == set(STAGES)
+    for stage in STAGES:
+        assert durations[stage] == line["stages_ms"][stage] == sums[stage], (
+            stage, durations[stage], line["stages_ms"][stage], sums[stage])
+
+
+def test_untraced_run_records_no_span_and_logs_the_same_keys():
+    service, line, sums = _logged_run()
+    assert service.spans.recent() == []
+    assert set(line) == {"ts", "id", "kind", "scenario", "mechanism",
+                         "profiles", "status", "stages_ms"}
+    assert set(line["stages_ms"]) == set(sums) == set(STAGES)
+    for stage in STAGES:
+        assert line["stages_ms"][stage] == sums[stage], stage
+
